@@ -145,7 +145,7 @@ int main(int argc, char** argv)
       on.result.stats.canonicalized_states);
   }
 
-  // Parallel BFS under symmetry agrees with the sequential quotient.
+  // Four-worker BFS under symmetry agrees with the one-worker quotient.
   const Cell par = run(symmetric_spec, true, 4);
   const bool parallel_matches = par.result.ok == symmetric_on.result.ok &&
     par.result.stats.distinct_states ==

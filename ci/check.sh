@@ -25,18 +25,17 @@ run_variant build-release
 run_variant build-tsan -DSCV_SANITIZE=thread
 
 # Trace-validation smoke under TSan: the demo exercises the end-to-end
-# pipeline (scenario -> trace -> validator) in both the sequential
-# reference configuration and the parallel BFS frontier, so a data race in
-# the parallel validator fails CI even on timing-friendly hosts.
+# pipeline (scenario -> trace -> validator) on one worker (run inline on
+# the caller) and on four, so a data race in the parallel validator fails
+# CI even on timing-friendly hosts.
 echo "=== tsan trace-validation smoke (threads=1) ==="
 ./build-tsan/examples/trace_validate_demo --threads=1
 echo "=== tsan trace-validation smoke (threads=4) ==="
 ./build-tsan/examples/trace_validate_demo --threads=4
 
-# Work-stealing DFS smoke: same pipeline, DFS engine only — threads=1
-# takes the sequential reference path, threads=4 runs the stealable-deque
-# search with the shared dead-end memo (racy deque or memo handling shows
-# up here).
+# Work-stealing DFS smoke: same pipeline, DFS engine only — the same
+# stealable-deque search with the shared dead-end memo on one worker and
+# on four (racy deque or memo handling shows up at four).
 echo "=== tsan work-stealing dfs smoke (threads=1) ==="
 ./build-tsan/examples/trace_validate_demo --mode=dfs --threads=1
 echo "=== tsan work-stealing dfs smoke (threads=4) ==="
@@ -72,8 +71,8 @@ echo "=== tsan campaign smoke, fingerprint-only store (threads=4) ==="
 # Symmetry-reduction smoke: the ablation bench model-checks the consensus
 # spec exhaustively with canonical-under-node-permutation fingerprinting
 # ON vs OFF and exits non-zero unless the verdicts are identical AND the
-# quotient is strictly smaller AND parallel BFS under symmetry matches the
-# sequential quotient — an unsound canonicalizer (orbit splitting or
+# quotient is strictly smaller AND four-worker BFS under symmetry matches
+# the one-worker quotient — an unsound canonicalizer (orbit splitting or
 # cross-orbit merging) fails CI here. --quick runs the symmetric-init pair
 # only, which keeps the Release smoke under ~10s. The TSan campaign smoke
 # runs all engines with --symmetry at threads=4 so the canonicalizer's
@@ -155,11 +154,15 @@ for t in raft_node_test scenario_dsl_test scenario_test e2e_test \
   "./build-ubsan/tests/${t}"
 done
 
-# ASan over the state-store suite: the store is the one module doing
-# manual lifetime work — slab blocks handed to mmap'd spill files, bodies
-# freed behind the frontier, record views into frozen arenas — where a
-# use-after-spill or off-by-one in the flat index would be silent heap
-# corruption under the normal builds. TSan (above, via ctest) covers the
+# ASan over the state-store suite and the BFS engines that borrow its
+# bodies: the store is the one module doing manual lifetime work — slab
+# blocks handed to mmap'd spill files, bodies freed behind the frontier,
+# record views into frozen arenas — where a use-after-spill or off-by-one
+# in the flat index would be silent heap corruption under the normal
+# builds. BFS frontier items are pointers to store bodies, so a body
+# dropped before its level is expanded is a use-after-free that only ASan
+# reports: parallel_spec_test and symmetry_test run the checker at one and
+# four workers in both store modes. TSan (above, via ctest) covers the
 # races; this covers the memory.
 echo "=== configure build-asan (-DSCV_SANITIZE=address) ==="
 # -Wno-maybe-uninitialized: like the UBSan variant's stringop-overflow
@@ -168,9 +171,12 @@ echo "=== configure build-asan (-DSCV_SANITIZE=address) ==="
 # keep the diagnostic armed.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Release -DSCV_WERROR=ON \
   -DSCV_SANITIZE=address -DCMAKE_CXX_FLAGS=-Wno-maybe-uninitialized
-echo "=== build build-asan (statestore_test) ==="
-cmake --build build-asan -j "${JOBS}" --target statestore_test
-echo "--- statestore_test (asan) ---"
-./build-asan/tests/statestore_test
+echo "=== build build-asan (store and BFS engine tests) ==="
+cmake --build build-asan -j "${JOBS}" --target \
+  statestore_test parallel_spec_test symmetry_test
+for t in statestore_test parallel_spec_test symmetry_test; do
+  echo "--- ${t} (asan) ---"
+  "./build-asan/tests/${t}"
+done
 
 echo "=== ci/check.sh: all variants passed ==="

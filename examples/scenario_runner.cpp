@@ -100,7 +100,7 @@ check
       trace::preprocess(cluster.trace()).size(),
       validation.ok ? "VALID" : "** INVALID **",
       validation.lines_matched,
-      validation.seconds);
+      validation.stats.seconds);
     return validation.ok ? 0 : 1;
   }
 }

@@ -6,11 +6,10 @@
 //   ./trace_validate_demo [--mode=all|dfs|bfs] [--threads=N] [--prune]
 //                         [--max-diagnostics=K] [trace-output.jsonl]
 //
-// --threads selects the worker count (ValidationOptions::threads; 1 = the
-// sequential reference engine, 0 = hardware concurrency). It applies to
-// both engines: BFS splits each line's frontier across the fork-join
-// pool; DFS at threads > 1 runs the work-stealing search with the shared
-// dead-end memo. --mode narrows the run to one engine — CI smokes
+// --threads selects the worker count (ValidationOptions::threads; 1 = one
+// worker, deterministic; 0 = hardware concurrency). It applies to both
+// engines: BFS splits each line's frontier across the fork-join pool; DFS
+// runs the work-stealing search with the shared dead-end memo. --mode narrows the run to one engine — CI smokes
 // `--mode=dfs` at threads 1 and 4 under ThreadSanitizer. --prune enables
 // the store-backed BFS memory mode (frontier-only predecessor chains).
 // --max-diagnostics caps the candidate states kept for the

@@ -110,8 +110,8 @@ namespace scv::driver::nemesis
     bool validate_traces = true;
     bool shrink = true;
     uint64_t max_shrink_iterations = 400;
-    /// Per-trace validation caps (DFS; validate_threads = 1 is the
-    /// sequential reference engine, > 1 the work-stealing search).
+    /// Per-trace validation caps (work-stealing DFS on validate_threads
+    /// workers; 1 = one worker, deterministic).
     uint64_t validate_max_states = 200000;
     double validate_seconds = 10.0;
     unsigned validate_threads = 1;

@@ -438,7 +438,7 @@ namespace scv::spec
         {resolve_worker_count(options.check.threads),
          resolve_worker_count(options.sim.threads),
          resolve_worker_count(options.validate.threads)});
-      return workers == 1 ? 1 : 4 * static_cast<size_t>(workers);
+      return WorkerPool(workers).stripe_count();
     }
 
     void record_phase(

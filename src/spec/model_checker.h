@@ -8,19 +8,18 @@
 // for translating spec counterexamples into functional tests (§7).
 //
 // One engine, one entry point: ModelChecker::check() (and the free
-// function model_check()) dispatch on CheckLimits::threads, exactly as
-// TraceValidator does:
-//   * threads = 1 runs the strictly sequential FIFO BFS — the reference
-//     semantics: deterministic traversal order, shortest counterexamples,
-//     bit-identical results run to run.
-//   * threads != 1 runs frontier-batched BFS over a WorkerPool and a
-//     sharded fingerprint store — TLC's multi-worker exploration model.
-//     All states at depth d form one work vector, workers claim items
-//     with an atomic cursor, expand actions, and collect the next
-//     frontier in per-worker vectors concatenated at the level barrier.
-//     First violation wins (a stop flag drains the other workers) and,
-//     because levels are processed in order, the reported trace is
-//     *level-minimal*: no strictly shorter counterexample exists.
+// function model_check()) run frontier-batched BFS over a WorkerPool and
+// a sharded fingerprint store — TLC's multi-worker exploration model. All
+// states at depth d form one work vector, workers claim items with an
+// atomic cursor, expand actions, and collect the next frontier in
+// per-worker vectors concatenated at the level barrier. The frontier holds
+// no state copies: each item borrows the body the store kept at
+// admission, and only the worker that expanded an item drops its body.
+// First violation wins (a stop flag drains the other workers) and,
+// because levels are processed in order, the reported trace is
+// *level-minimal*: no strictly shorter counterexample exists. CheckLimits::threads = 1 is
+// the same engine with one worker, run inline: deterministic traversal
+// order, shortest counterexamples, identical results run to run.
 //
 // Campaign mode (campaign.h): attach_store() points the checker at a
 // shared ShardedStateStore instead of its private one. States already in
@@ -170,24 +169,161 @@ namespace scv::spec
       expander_.set_origin(static_cast<uint8_t>(origin));
     }
 
-    /// Unified entry point: dispatches on CheckLimits::threads (see
-    /// docs/SPEC.md "threads semantics"). A checker attached to a shared
-    /// store always runs the frontier-batched path, whose single-worker
-    /// schedule is the same global FIFO order as the sequential engine.
+    /// Frontier-batched BFS over a WorkerPool and a sharded fingerprint
+    /// store (see the header comment). One worker runs the same code
+    /// inline on the caller's thread: one shard, each level drained in
+    /// insertion order — a deterministic global FIFO schedule.
     CheckResult<S> check()
     {
       frontier_out_.clear();
-      if (external_ == nullptr && resolve_worker_count(limits_.threads) == 1)
+      const WorkerPool pool(limits_.threads);
+      if (external_ == nullptr)
       {
-        return check_sequential();
+        owned_ = std::make_unique<Store>(pool.stripe_count(), store_options());
       }
-      return check_parallel();
-    }
+      Budget budget(limits_.budget_caps());
+      CheckResult<S> result;
+      violation_.reset();
 
-    /// Legacy name for check().
-    CheckResult<S> run()
-    {
-      return check();
+      std::vector<Item> frontier;
+
+      // Campaign seeding: every state another engine already admitted to
+      // the shared store joins the initial frontier (its depth is the
+      // depth recorded at admission).
+      if (external_ != nullptr)
+      {
+        store().for_each(
+          [&](Id id, const typename Store::RecordView& r) {
+            // A fingerprint-only store has dropped expanded states'
+            // bodies; only body-live records can seed the frontier (the
+            // rest still deduplicate, which is their whole job).
+            if (r.body != nullptr)
+            {
+              frontier.push_back({r.body, id, r.depth});
+            }
+          });
+        result.stats.seeded_states = frontier.size();
+      }
+
+      // Initial states are inserted and checked on the caller's thread, in
+      // spec order.
+      uint64_t inserted = 0;
+      for (const S& init : spec_.init)
+      {
+        const auto ins = expander_.admit(
+          store(), init, Store::no_parent, Store::init_action, 0);
+        if (!ins.inserted)
+        {
+          result.stats.duplicate_states++;
+          continue;
+        }
+        inserted++;
+        result.stats.generated_states++;
+        for (const auto& inv : spec_.invariants)
+        {
+          if (!inv.check(init))
+          {
+            result.counterexample =
+              reconstruct_counterexample(store(), spec_, ins.id, inv.name);
+            finish(result, budget, false, inserted);
+            return result;
+          }
+        }
+        frontier.push_back({ins.body, ins.id, 0});
+      }
+
+      std::atomic<bool> stop{false};
+      std::atomic<bool> out_of_budget{false};
+
+      while (!frontier.empty() && !stop.load(std::memory_order_acquire))
+      {
+        std::atomic<size_t> cursor{0};
+        std::vector<WorkerLocal> locals(pool.size());
+        for (auto& local : locals)
+        {
+          local.coverage.assign(spec_.actions.size(), 0);
+        }
+
+        pool.run([&](unsigned w) {
+          run_worker(frontier, cursor, stop, out_of_budget, budget, locals[w]);
+        });
+
+        // Level barrier: merge worker stats and splice the next frontier
+        // (worker order, then generation order within a worker).
+        std::vector<Item> next;
+        for (WorkerLocal& local : locals)
+        {
+          result.stats.generated_states += local.generated;
+          result.stats.transitions += local.transitions;
+          result.stats.duplicate_states += local.duplicates;
+          inserted += local.inserted;
+          result.stats.max_depth =
+            std::max(result.stats.max_depth, local.max_depth);
+          for (size_t a = 0; a < local.coverage.size(); ++a)
+          {
+            if (local.coverage[a] > 0)
+            {
+              result.stats.action_coverage[spec_.actions[a].name] +=
+                local.coverage[a];
+            }
+          }
+          if (next.empty())
+          {
+            next.swap(local.next);
+          }
+          else
+          {
+            next.insert(next.end(), local.next.begin(), local.next.end());
+          }
+        }
+
+        // Budget cut: the leftover frontier is everything admitted but
+        // never expanded — the unclaimed tail of this level (workers
+        // check the budget *before* claiming) plus the level the workers
+        // were building. Their bodies are live: workers drop only the
+        // items they expanded.
+        if (out_of_budget.load(std::memory_order_acquire))
+        {
+          const size_t claimed =
+            std::min(cursor.load(std::memory_order_relaxed), frontier.size());
+          for (size_t i = claimed; i < frontier.size(); ++i)
+          {
+            frontier_out_.push_back(*frontier[i].state);
+          }
+          for (const Item& item : next)
+          {
+            frontier_out_.push_back(*item.state);
+          }
+        }
+        // Level barrier (workers joined, store quiescent): frozen arena
+        // blocks may spill.
+        if (!stop.load(std::memory_order_acquire))
+        {
+          store().maybe_spill();
+        }
+        frontier = std::move(next);
+      }
+
+      if (violation_.has_value())
+      {
+        const Violation& v = *violation_;
+        result.counterexample =
+          reconstruct_counterexample(store(), spec_, v.at, v.property);
+        if (v.successor.has_value())
+        {
+          result.counterexample->steps.push_back(
+            {spec_.actions[v.action].name, *v.successor});
+        }
+        finish(result, budget, false, inserted);
+        return result;
+      }
+
+      finish(
+        result,
+        budget,
+        !out_of_budget.load(std::memory_order_acquire),
+        inserted);
+      return result;
     }
 
     /// After an incomplete check(): the unexpanded BFS frontier — states
@@ -221,8 +357,6 @@ namespace scv::spec
       return opts;
     }
 
-    // ---- threads == 1, private store: the sequential reference engine --
-
     /// The store's byte ceiling, treated like an exhausted work budget.
     [[nodiscard]] bool over_memory_budget()
     {
@@ -230,161 +364,14 @@ namespace scv::spec
         store().store_bytes() > limits_.store.memory_budget_bytes;
     }
 
-    CheckResult<S> check_sequential()
-    {
-      owned_ = std::make_unique<Store>(1, store_options());
-      Budget budget(limits_.budget_caps());
-      CheckResult<S> result;
-
-      for (const S& init : spec_.init)
-      {
-        const auto ins = expander_.admit(
-          store(), init, Store::no_parent, Store::init_action, 0);
-        if (ins.inserted)
-        {
-          result.stats.generated_states++;
-          if (!check_state(init, ins.id, result))
-          {
-            finish(result, budget, false);
-            return result;
-          }
-        }
-        else
-        {
-          result.stats.duplicate_states++;
-        }
-      }
-
-      // With a single shard, IDs are dense 0..size-1 in insertion order, so
-      // a cursor over IDs is the classic FIFO BFS queue.
-      size_t cursor = 0;
-      while (cursor < store().size())
-      {
-        if (budget.exhausted(store().size()) || over_memory_budget())
-        {
-          export_sequential_frontier(cursor);
-          finish(result, budget, false);
-          return result;
-        }
-        if ((cursor & 0xFFFF) == 0)
-        {
-          // Block-granularity housekeeping; no-op without a spill_dir.
-          store().maybe_spill();
-        }
-
-        const auto current = static_cast<Id>(cursor++);
-        // Stable arenas: references stay valid across inserts (full-mode
-        // bodies live in a deque, frontier bodies in a node-based map).
-        const S& state = *store().record(current).body;
-        const uint32_t depth = store().record(current).depth;
-        result.stats.max_depth =
-          std::max<uint64_t>(result.stats.max_depth, depth);
-
-        if (!expander_.within_constraint(state) ||
-            budget.depth_exceeded(depth))
-        {
-          // Gated states are never expanded: they leave the frontier now.
-          store().drop_body(current);
-          continue;
-        }
-
-        bool violated = false;
-        for (size_t a = 0; a < spec_.actions.size() && !violated; ++a)
-        {
-          spec_.actions[a].expand(state, [&](const S& next) {
-            if (violated)
-            {
-              return;
-            }
-            result.stats.generated_states++;
-            result.stats.transitions++;
-            result.stats.action_coverage[spec_.actions[a].name]++;
-            for (const auto& prop : spec_.action_properties)
-            {
-              if (!prop.check(state, next))
-              {
-                result.counterexample =
-                  build_counterexample(current, prop.name);
-                result.counterexample->steps.push_back(
-                  {spec_.actions[a].name, next});
-                violated = true;
-                return;
-              }
-            }
-            const auto ins = expander_.admit(
-              store(), next, current, static_cast<uint32_t>(a), depth + 1);
-            if (ins.inserted)
-            {
-              if (!check_state(next, ins.id, result))
-              {
-                violated = true;
-              }
-            }
-            else
-            {
-              result.stats.duplicate_states++;
-            }
-          });
-        }
-        if (violated)
-        {
-          // Note: no drop_body here — the violating chain's tail states
-          // are still live for reconstruct_counterexample's target match.
-          result.ok = false;
-          finish(result, budget, false);
-          return result;
-        }
-        // Expanded: the state leaves the frontier (fingerprint-only mode
-        // retires its body; full mode keeps everything).
-        store().drop_body(current);
-      }
-
-      finish(result, budget, true);
-      return result;
-    }
-
-    /// Budget cut the sequential run: records cursor..size-1 were admitted
-    /// but never expanded — that is the leftover frontier.
-    void export_sequential_frontier(size_t cursor)
-    {
-      // Unexpanded records never left the frontier, so their bodies are
-      // live in every store mode.
-      for (size_t i = cursor; i < store().size(); ++i)
-      {
-        frontier_out_.push_back(*store().record(static_cast<Id>(i)).body);
-      }
-    }
-
-    /// Checks invariants; records a counterexample and returns false on
-    /// violation.
-    bool check_state(
-      const S& state, Id id, CheckResult<S>& result)
-    {
-      for (const auto& inv : spec_.invariants)
-      {
-        if (!inv.check(state))
-        {
-          result.counterexample = build_counterexample(id, inv.name);
-          result.ok = false;
-          return false;
-        }
-      }
-      return true;
-    }
-
-    Counterexample<S> build_counterexample(Id id, const std::string& property)
-    {
-      return reconstruct_counterexample(store(), spec_, id, property);
-    }
-
-    // ---- threads != 1 or shared store: frontier-batched BFS over a
-    // WorkerPool (TLC's multi-worker model). A single worker drains each
-    // level in insertion order — the same global FIFO order as the
-    // sequential engine, so results match exactly. ----
-
+    /// A frontier entry borrows its state from the store: `state` is the
+    /// body pointer insert() returned (or, for campaign seeds, the live
+    /// record body). Each item is claimed by one worker, which drops the
+    /// body once it has expanded the state; nothing else drops frontier
+    /// bodies while a level runs.
     struct Item
     {
-      S state;
+      const S* state;
       Id id;
       uint32_t depth;
     };
@@ -410,164 +397,6 @@ namespace scv::spec
       uint32_t action = 0;
       std::optional<S> successor;
     };
-
-    CheckResult<S> check_parallel()
-    {
-      const WorkerPool pool(limits_.threads);
-      if (external_ == nullptr)
-      {
-        // Over-provision shards (4x workers) so two workers rarely hash
-        // to the same stripe; a single worker keeps the sequential layout.
-        owned_ = std::make_unique<Store>(
-          pool.size() == 1 ? 1 : 4 * static_cast<size_t>(pool.size()),
-          store_options());
-      }
-      Budget budget(limits_.budget_caps());
-      CheckResult<S> result;
-      violation_.reset();
-
-      std::vector<Item> frontier;
-
-      // Campaign seeding: every state another engine already admitted to
-      // the shared store joins the initial frontier (its depth is the
-      // depth recorded at admission).
-      if (external_ != nullptr)
-      {
-        store().for_each(
-          [&](Id id, const typename Store::RecordView& r) {
-            // A fingerprint-only store has dropped expanded states'
-            // bodies; only body-live records can seed the frontier (the
-            // rest still deduplicate, which is their whole job).
-            if (r.body != nullptr)
-            {
-              frontier.push_back({*r.body, id, r.depth});
-            }
-          });
-        result.stats.seeded_states = frontier.size();
-      }
-
-      // Initial states are inserted and checked on the caller's thread, in
-      // spec order, exactly as the sequential engine does.
-      uint64_t inserted = 0;
-      for (const S& init : spec_.init)
-      {
-        const auto ins = expander_.admit(
-          store(), init, Store::no_parent, Store::init_action, 0);
-        if (!ins.inserted)
-        {
-          result.stats.duplicate_states++;
-          continue;
-        }
-        inserted++;
-        result.stats.generated_states++;
-        for (const auto& inv : spec_.invariants)
-        {
-          if (!inv.check(init))
-          {
-            result.counterexample =
-              reconstruct_counterexample(store(), spec_, ins.id, inv.name);
-            finish(result, budget, false, inserted);
-            return result;
-          }
-        }
-        frontier.push_back({init, ins.id, 0});
-      }
-
-      std::atomic<bool> stop{false};
-      std::atomic<bool> out_of_budget{false};
-
-      while (!frontier.empty() && !stop.load(std::memory_order_acquire))
-      {
-        std::atomic<size_t> cursor{0};
-        std::vector<WorkerLocal> locals(pool.size());
-        for (auto& local : locals)
-        {
-          local.coverage.assign(spec_.actions.size(), 0);
-        }
-
-        pool.run([&](unsigned w) {
-          run_worker(frontier, cursor, stop, out_of_budget, budget, locals[w]);
-        });
-
-        // Level barrier: merge worker stats and splice the next frontier
-        // (worker order, then generation order within a worker).
-        std::vector<Item> next;
-        for (unsigned w = 0; w < pool.size(); ++w)
-        {
-          WorkerLocal& local = locals[w];
-          result.stats.generated_states += local.generated;
-          result.stats.transitions += local.transitions;
-          result.stats.duplicate_states += local.duplicates;
-          inserted += local.inserted;
-          result.stats.max_depth =
-            std::max(result.stats.max_depth, local.max_depth);
-          for (size_t a = 0; a < local.coverage.size(); ++a)
-          {
-            if (local.coverage[a] > 0)
-            {
-              result.stats.action_coverage[spec_.actions[a].name] +=
-                local.coverage[a];
-            }
-          }
-          next.insert(
-            next.end(),
-            std::make_move_iterator(local.next.begin()),
-            std::make_move_iterator(local.next.end()));
-        }
-
-        // Budget cut: the leftover frontier is everything admitted but
-        // never expanded — the unclaimed tail of this level (workers
-        // check the budget *before* claiming) plus the level the workers
-        // were building.
-        if (out_of_budget.load(std::memory_order_acquire))
-        {
-          const size_t claimed =
-            std::min(cursor.load(std::memory_order_relaxed), frontier.size());
-          for (size_t i = claimed; i < frontier.size(); ++i)
-          {
-            frontier_out_.push_back(std::move(frontier[i].state));
-          }
-          for (Item& item : next)
-          {
-            frontier_out_.push_back(std::move(item.state));
-          }
-        }
-        // Level barrier (workers joined, store quiescent): the expanded
-        // level's states leave the frontier, and frozen arena blocks may
-        // spill. Skipped on stop so a violation target's body stays live
-        // for reconstruction.
-        if (!stop.load(std::memory_order_acquire))
-        {
-          for (const Item& item : frontier)
-          {
-            store().drop_body(item.id);
-          }
-          store().maybe_spill();
-        }
-        frontier = std::move(next);
-      }
-
-      if (violation_.has_value())
-      {
-        const Violation& v = *violation_;
-        result.counterexample =
-          reconstruct_counterexample(store(), spec_, v.at, v.property);
-        if (v.successor.has_value())
-        {
-          result.counterexample->steps.push_back(
-            {spec_.actions[v.action].name, *v.successor});
-        }
-        finish(result, budget, false, inserted);
-        return result;
-      }
-
-      finish(
-        result,
-        budget,
-        !out_of_budget.load(std::memory_order_acquire),
-        inserted);
-      return result;
-    }
 
     void run_worker(
       const std::vector<Item>& frontier,
@@ -599,18 +428,21 @@ namespace scv::spec
           return;
         }
         const Item& item = frontier[i];
+        const S& state = *item.state;
 
         local.max_depth = std::max<uint64_t>(local.max_depth, item.depth);
-        if (!expander_.within_constraint(item.state) ||
+        if (!expander_.within_constraint(state) ||
             budget.depth_exceeded(item.depth))
         {
+          // Gated states are never expanded: they leave the frontier now.
+          store().drop_body(item.id);
           continue;
         }
 
         bool violated = false;
         for (size_t a = 0; a < spec_.actions.size() && !violated; ++a)
         {
-          spec_.actions[a].expand(item.state, [&](const S& next) {
+          spec_.actions[a].expand(state, [&](const S& next) {
             if (violated || stop.load(std::memory_order_relaxed))
             {
               return;
@@ -620,7 +452,7 @@ namespace scv::spec
             local.coverage[a]++;
             for (const auto& prop : spec_.action_properties)
             {
-              if (!prop.check(item.state, next))
+              if (!prop.check(state, next))
               {
                 report_violation(
                   stop,
@@ -644,7 +476,7 @@ namespace scv::spec
                   return;
                 }
               }
-              local.next.push_back({next, ins.id, item.depth + 1});
+              local.next.push_back({ins.body, ins.id, item.depth + 1});
             }
             else
             {
@@ -654,7 +486,17 @@ namespace scv::spec
         }
         if (violated)
         {
+          // The violating item keeps its body: reconstruction needs it.
           return;
+        }
+        // Expanded: the state leaves the frontier. This worker holds the
+        // only pointer to the body, so it retires it now rather than at
+        // the barrier (fingerprint-only mode then keeps about one level
+        // of bodies live, not two). A stop may have cut the expansion
+        // short; that body stays live.
+        if (!stop.load(std::memory_order_acquire))
+        {
+          store().drop_body(item.id);
         }
       }
     }
@@ -709,8 +551,7 @@ namespace scv::spec
     std::optional<Violation> violation_;
   };
 
-  /// Entry point: dispatches on CheckLimits::threads. threads<=1 runs the
-  /// sequential reference engine; anything else runs the worker pool.
+  /// Entry point: one ModelChecker run on CheckLimits::threads workers.
   template <SpecState S>
   CheckResult<S> model_check(const SpecDef<S>& spec, CheckLimits limits = {})
   {

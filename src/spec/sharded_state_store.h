@@ -29,17 +29,17 @@
 // Global state IDs are stable across shards: id = (local_index <<
 // shard_bits) | shard. Predecessor links stored in records use these
 // global IDs, so counterexample reconstruction walks parents across shard
-// boundaries exactly as the sequential checker walks its flat arena.
+// boundaries.
 //
 // Concurrency contract (applies to size(), origin_count() and
 // store_bytes()/spilled_bytes(), all of which read atomics wait-free):
 //   * insert() may be called from any thread at any time; the wait-free
 //     readers above are exact once writers are quiescent and a monotone
 //     lower bound while they run.
-//   * record()/body() take no lock: call them only for IDs the caller
-//     inserted itself, or once all writers have been joined
-//     (counterexample reconstruction happens after the worker pool
-//     stops).
+//   * record()/body() take no lock: call them only once all writers have
+//     been joined (counterexample reconstruction happens after the worker
+//     pool stops). While writers run, a body is read through the pointer
+//     its own insert() returned (InsertResult::body), never looked up.
 //   * drop_body() takes the shard lock, so it may run concurrently with
 //     insert() (the simulator and the validator's coverage tap retire
 //     bodies mid-run) — but never concurrently with a record()/body()
@@ -189,10 +189,17 @@ namespace scv::spec
       }
     };
 
+    /// `body` points at the stored copy of a newly inserted state (null
+    /// for a duplicate). It is taken under the shard lock, so unlike
+    /// record()/body() it is safe while other threads insert: full-mode
+    /// deque elements and fingerprint-only map nodes never move, and the
+    /// pointer stays valid until drop_body() or clear(). The BFS engines
+    /// keep their frontiers as these pointers instead of state copies.
     struct InsertResult
     {
       Id id;
       bool inserted;
+      const S* body;
     };
 
     explicit ShardedStateStore(
@@ -283,7 +290,7 @@ namespace scv::spec
         const uint32_t hit = shard.index.first(fp);
         if (hit != FlatFpTable::empty_slot)
         {
-          return {encode(shard_idx, hit), false};
+          return {encode(shard_idx, hit), false, nullptr};
         }
       }
       else
@@ -299,22 +306,23 @@ namespace scv::spec
         });
         if (hit != FlatFpTable::empty_slot)
         {
-          return {encode(shard_idx, hit), false};
+          return {encode(shard_idx, hit), false, nullptr};
         }
       }
 
       const auto local = static_cast<uint32_t>(shard.count);
       hot_slot(shard, local) = {
         parent, action, (std::min(depth, depth_limit) << 8) | origin};
+      const S* body = nullptr;
       if (fingerprint_only())
       {
-        shard.frontier_bodies.emplace(local, state);
+        body = &shard.frontier_bodies.emplace(local, state).first->second;
         shard.body_bytes.fetch_add(
           frontier_body_bytes, std::memory_order_relaxed);
       }
       else
       {
-        shard.bodies.push_back(state);
+        body = &shard.bodies.emplace_back(state);
         shard.body_bytes.fetch_add(sizeof(S), std::memory_order_relaxed);
       }
       shard.index.insert(fp, local);
@@ -326,7 +334,7 @@ namespace scv::spec
       shard.origin_counts[origin % max_origins].fetch_add(
         1, std::memory_order_relaxed);
       shard.published.store(shard.count, std::memory_order_release);
-      return {encode(shard_idx, local), true};
+      return {encode(shard_idx, local), true, body};
     }
 
     /// Total states stored. Exact when quiescent; during a run it is a
@@ -689,8 +697,8 @@ namespace scv::spec
       // never moves existing bodies).
       std::deque<S> bodies;
       // StoreMode::fingerprint_only: bodies for frontier records only.
-      // (Node-based map: references stay valid across inserts, so the
-      // sequential checker can hold its current state across admissions.)
+      // (Node-based map: references stay valid across inserts, so BFS
+      // frontiers can hold InsertResult::body pointers across a level.)
       std::unordered_map<uint32_t, S> frontier_bodies;
       // first-discovery counts per admission origin (EngineId byte);
       // atomics so origin_count() is wait-free like size().

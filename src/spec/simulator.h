@@ -73,9 +73,6 @@ namespace scv::spec
     uint64_t max_behaviors = UINT64_MAX;
     /// Bounds each walk rather than the whole run.
     uint64_t max_depth = 50;
-    /// When false, all actions are treated as weight 1 (uniform pick).
-    /// Kept for backwards compatibility: false forces Uniform mode.
-    bool use_weights = true;
     WeightingMode mode = WeightingMode::Static;
     /// Track the set of distinct fingerprints visited (costs memory).
     bool track_distinct = true;
@@ -248,11 +245,8 @@ namespace scv::spec
           {
             break; // deadlock
           }
-          const WeightingMode mode = !options_.use_weights ?
-            WeightingMode::Uniform :
-            options_.mode;
           const uint64_t bucket = q_bucket(current);
-          const auto picked = pick_action(mode, enabled, bucket);
+          const auto picked = pick_action(options_.mode, enabled, bucket);
           if (!picked.has_value())
           {
             break; // all enabled actions have zero weight
@@ -262,7 +256,7 @@ namespace scv::spec
           result.stats.transitions++;
           result.stats.action_coverage[spec_.actions[a].name]++;
 
-          if (mode == WeightingMode::QLearning)
+          if (options_.mode == WeightingMode::QLearning)
           {
             // Reward novelty; bootstrap from the best known value of the
             // successor bucket. Keyed like note_state() so the distinct

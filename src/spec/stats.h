@@ -25,7 +25,7 @@ namespace scv::spec
     /// table buys.
     uint64_t memo_hits = 0;
     /// Work-stealing engines: work items taken from another worker's
-    /// deque. Zero for sequential runs and for engines on the fork-join
+    /// deque. Zero for one-worker runs and for engines on the fork-join
     /// pool.
     uint64_t steals = 0;
     /// Campaign runs: states adopted from another engine's discoveries to

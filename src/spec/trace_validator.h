@@ -7,26 +7,26 @@
 // fault composition before each step, mirroring the paper's
 // IsFault · Next composition (Listing 5).
 //
-// Two search modes, reproducing §6.4:
+// Two search modes, reproducing §6.4. Each has one implementation;
+// ValidationOptions::threads (same semantics as CheckLimits::threads)
+// picks the worker count, and threads = 1 is the same engine with one
+// worker, run inline and deterministic:
 //  * BFS computes the full frontier of candidate spec states line by line —
 //    complete but can explode with nondeterminism. The frontier lives in a
 //    ShardedStateStore (dedup scoped per line by salting the fingerprint
 //    with the line number) whose predecessor links reconstruct a full
-//    witness behavior on success; expansion of each line is split across a
-//    WorkerPool (ValidationOptions::threads, same semantics as
-//    CheckLimits::threads — threads=1 is the bit-identical sequential
-//    reference).
+//    witness behavior on success; frontier items borrow the store's
+//    bodies, and expansion of each line is split across a WorkerPool.
 //  * DFS looks for a single witness behavior with memoized dead ends —
 //    "orders of magnitude faster", which is what made trace validation
-//    usable in CI. The search runs an explicit frame stack (no recursion),
-//    so production traces of any length cannot overflow the C stack. At
-//    threads > 1 the same search runs work-stealing: workers own deques of
+//    usable in CI. The search is work-stealing: workers own deques of
 //    unexplored subtrees (work_stealing_pool.h), the (line, fingerprint)
 //    dead-end memo is a shared lock-striped StripedKeySet so one worker's
 //    proven-dead subtree prunes everyone, and the first witness wins via
-//    the Budget cooperative-stop flag. threads = 1 takes the sequential
-//    code path unchanged — bit-identical verdicts, witness, and
-//    diagnostics.
+//    the Budget cooperative-stop flag. Nothing recurses, so production
+//    traces of any length cannot overflow the C stack. A single worker
+//    pops its own deque depth-first in successor order, so its verdict,
+//    witness and diagnostics are the same on every run.
 //
 // On failure there is no counterexample (§6.3) — instead the result carries
 // the paper's diagnostics: the deepest line matched, the candidate states
@@ -41,7 +41,6 @@
 #include <atomic>
 #include <memory>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "spec/budget.h"
@@ -84,8 +83,6 @@ namespace scv::spec
     /// Number of trace lines successfully matched (== lines.size() iff ok).
     size_t lines_matched = 0;
     uint64_t states_explored = 0;
-    /// Mirror of stats.seconds (older callers).
-    double seconds = 0.0;
     /// Candidate states alive at the deepest line reached (diagnostics).
     std::vector<S> frontier_at_failure;
     /// Description of the first line that could not be matched.
@@ -108,10 +105,10 @@ namespace scv::spec
     size_t max_faults_per_step = 0;
     uint64_t max_states = UINT64_MAX;
     // threads (inherited): BFS splits each line's frontier across the
-    // fork-join pool; DFS at threads > 1 runs a work-stealing search over
-    // independent subtrees with a shared dead-end memo (first witness
-    // wins — same verdict, possibly a different witness among equals).
-    // See docs/SPEC.md "threads semantics".
+    // fork-join pool; DFS runs its work-stealing search on that many
+    // workers with a shared dead-end memo (first witness wins — same
+    // verdict, possibly a different witness among equals at more than one
+    // worker). See docs/SPEC.md "threads semantics".
     /// BFS only: retain predecessor chains only for the live frontier
     /// (ROADMAP "store-backed BFS memory"). The sharded store is cleared
     /// after every line — it then holds one line's frontier instead of
@@ -175,16 +172,11 @@ namespace scv::spec
       {
         run_bfs();
       }
-      else if (resolve_worker_count(options_.threads) == 1)
+      else
       {
         run_dfs();
       }
-      else
-      {
-        run_dfs_parallel();
-      }
-      result_.seconds = budget_.elapsed();
-      result_.stats.seconds = result_.seconds;
+      result_.stats.seconds = budget_.elapsed();
       if (budget_.caps().time_budget_seconds < 1e17)
       {
         result_.stats.budget_seconds = budget_.caps().time_budget_seconds;
@@ -247,8 +239,7 @@ namespace scv::spec
     /// someone else still references. A plain drop of the last reference
     /// to a deep chain would run ~depth nested destructors (each node
     /// holds the shared_ptr to its parent) and overflow the C stack on
-    /// ~100k-line traces — the exact failure mode the iterative DFS was
-    /// built to avoid.
+    /// ~100k-line traces.
     template <class Node>
     static void release_chain(std::shared_ptr<Node>&& node)
     {
@@ -261,15 +252,31 @@ namespace scv::spec
       node.reset();
     }
 
-    /// A frontier entry carries a copy of the state so workers never read
-    /// store records while siblings insert (the store's record() contract).
+    /// A frontier entry borrows its state: the body pointer insert()
+    /// returned (valid until the line barrier drops it), or under
+    /// prune_bfs_store — which clears the store every line — the state in
+    /// the item's own chain node.
     struct Item
     {
-      S state;
+      const S* state;
       Id id;
       /// Only populated under prune_bfs_store.
       std::shared_ptr<PathNode> chain;
     };
+
+    /// The frontier item for a fresh admission whose predecessor's chain
+    /// is `parent` (null for initial states and outside prune mode).
+    [[nodiscard]] Item make_item(
+      const typename Store::InsertResult& ins,
+      const std::shared_ptr<PathNode>& parent) const
+    {
+      if (!options_.prune_bfs_store)
+      {
+        return {ins.body, ins.id, nullptr};
+      }
+      auto node = std::make_shared<PathNode>(PathNode{*ins.body, parent});
+      return {&node->state, ins.id, std::move(node)};
+    }
 
     struct Local
     {
@@ -280,9 +287,7 @@ namespace scv::spec
     void run_bfs()
     {
       const WorkerPool pool(options_.threads);
-      Store store(
-        pool.size() == 1 ? 1 : 4 * static_cast<size_t>(pool.size()),
-        options_.store);
+      Store store(pool.stripe_count(), options_.store);
       const auto snapshot_store = [&] {
         result_.stats.store_bytes = store.store_bytes();
         result_.stats.spilled_bytes = store.spilled_bytes();
@@ -306,12 +311,7 @@ namespace scv::spec
         if (ins.inserted)
         {
           cover(init, 0);
-          frontier.push_back(
-            {init,
-             ins.id,
-             options_.prune_bfs_store ?
-               std::make_shared<PathNode>(PathNode{init, nullptr}) :
-               nullptr});
+          frontier.push_back(make_item(ins, nullptr));
         }
       }
 
@@ -351,9 +351,9 @@ namespace scv::spec
           result_.ok = false;
           result_.lines_matched = line;
           result_.frontier_at_failure.reserve(frontier.size());
-          for (Item& item : frontier)
+          for (const Item& item : frontier)
           {
-            result_.frontier_at_failure.push_back(std::move(item.state));
+            result_.frontier_at_failure.push_back(*item.state);
           }
           result_.failed_line = lines_[line].description;
           result_.stats.distinct_states = pruned_distinct + store.size();
@@ -422,7 +422,7 @@ namespace scv::spec
                 lines_[action].expand(pre, emit);
               });
             },
-            &frontier.front().state);
+            frontier.front().state);
           if (path.has_value())
           {
             result_.witness = std::move(*path);
@@ -464,7 +464,7 @@ namespace scv::spec
           return;
         }
         const Item& item = frontier[i];
-        expander_.with_faults(item.state, [&](const S& pre) {
+        expander_.with_faults(*item.state, [&](const S& pre) {
           lines_[line].expand(pre, [&](const S& succ) {
             explored.fetch_add(1, std::memory_order_relaxed);
             const auto ins = expander_.admit_keyed(
@@ -477,12 +477,7 @@ namespace scv::spec
             if (ins.inserted)
             {
               cover(succ, line + 1);
-              local.next.push_back(
-                {succ,
-                 ins.id,
-                 options_.prune_bfs_store ?
-                   std::make_shared<PathNode>(PathNode{succ, item.chain}) :
-                   nullptr});
+              local.next.push_back(make_item(ins, item.chain));
             }
             else
             {
@@ -498,160 +493,15 @@ namespace scv::spec
       }
     }
 
-    // ---- DFS: single-witness search on an explicit frame stack ----
-
-    struct Frame
-    {
-      size_t line = 0;
-      uint64_t fp = 0;
-      std::vector<S> successors;
-      size_t next = 0;
-    };
-
-    enum class Enter
-    {
-      Matched, // line == lines.size(): the whole trace is matched
-      Fail, // budget, or memoized dead end
-      Entered, // frame pushed; successors expanded
-    };
-
-    void run_dfs()
-    {
-      // Memoize (line, state-fingerprint) pairs known to fail — the
-      // "unsatisfied" states (§6.3). deepest_* provide the diagnostics.
-      dead_.clear();
-      deepest_line_ = 0;
-      deepest_frontier_.clear();
-
-      for (const S& init : init_)
-      {
-        std::vector<S> path;
-        if (dfs_from(init, path))
-        {
-          result_.ok = true;
-          result_.lines_matched = lines_.size();
-          result_.witness = std::move(path);
-          return;
-        }
-        if (budget_.exhausted(result_.states_explored))
-        {
-          break;
-        }
-      }
-      result_.ok = false;
-      result_.lines_matched = deepest_line_;
-      result_.frontier_at_failure = std::move(deepest_frontier_);
-      if (deepest_line_ < lines_.size())
-      {
-        result_.failed_line = lines_[deepest_line_].description;
-      }
-    }
-
-    /// Iterative depth-first search from one initial state. path mirrors
-    /// the frame stack (path[i] is the state entered at line i), so on a
-    /// match it is exactly the witness behavior.
-    bool dfs_from(const S& init, std::vector<S>& path)
-    {
-      path = {init};
-      std::vector<Frame> stack;
-      {
-        Frame root;
-        switch (enter(init, 0, root))
-        {
-          case Enter::Matched:
-            return true;
-          case Enter::Fail:
-            return false;
-          case Enter::Entered:
-            stack.push_back(std::move(root));
-            break;
-        }
-      }
-      while (!stack.empty())
-      {
-        Frame& top = stack.back();
-        if (top.next == top.successors.size())
-        {
-          // Post-order: every successor failed. Memoize the dead end and
-          // backtrack.
-          dead_.insert(key(top.line, top.fp));
-          stack.pop_back();
-          path.pop_back();
-          continue;
-        }
-        const S& succ = top.successors[top.next++];
-        path.push_back(succ);
-        Frame child;
-        switch (enter(succ, top.line + 1, child))
-        {
-          case Enter::Matched:
-            return true;
-          case Enter::Fail:
-            path.pop_back();
-            break;
-          case Enter::Entered:
-            // Invalidates `top` and `succ`; neither is used again.
-            stack.push_back(std::move(child));
-            break;
-        }
-      }
-      return false;
-    }
-
-    /// The per-node prologue of the search: match/budget/dead checks,
-    /// deepest-line diagnostics, successor expansion.
-    Enter enter(const S& state, size_t line, Frame& out)
-    {
-      if (line == lines_.size())
-      {
-        // Matched end states count as visited coverage (BFS admits its
-        // whole final frontier; keep the DFS tap consistent).
-        cover(state, line);
-        return Enter::Matched;
-      }
-      if (budget_.exhausted(result_.states_explored))
-      {
-        return Enter::Fail;
-      }
-      const uint64_t fp = expander_.fingerprint_of(state);
-      if (dead_.contains(key(line, fp)))
-      {
-        result_.stats.duplicate_states++;
-        result_.stats.memo_hits++;
-        return Enter::Fail;
-      }
-      if (line > deepest_line_)
-      {
-        deepest_line_ = line;
-        deepest_frontier_.clear();
-      }
-      if (
-        line == deepest_line_ &&
-        deepest_frontier_.size() < options_.max_diagnostic_states)
-      {
-        deepest_frontier_.push_back(state);
-      }
-      result_.stats.distinct_states++;
-      cover(state, line);
-      out.line = line;
-      out.fp = fp;
-      expander_.with_faults(state, [&](const S& pre) {
-        lines_[line].expand(pre, [&](const S& succ) {
-          result_.states_explored++;
-          out.successors.push_back(succ);
-        });
-      });
-      return Enter::Entered;
-    }
-
-    // ---- DFS, threads > 1: work-stealing search over independent
+    // ---- DFS: single-witness work-stealing search over independent
     // subtrees. Each worker's deque bottom is its DFS stack; idle workers
     // steal the shallowest (largest) subtree from a victim's top. The
-    // dead-end memo is the shared StripedKeySet, so a subtree proven dead
-    // by one worker prunes every other worker's search, and the first
-    // witness wins through the Budget cooperative-stop flag. ----
+    // dead-end memo (line, fingerprint) — the "unsatisfied" states of
+    // §6.3 — is the shared StripedKeySet, so a subtree proven dead by one
+    // worker prunes every other worker's search, and the first witness
+    // wins through the Budget cooperative-stop flag. ----
 
-    /// A node of the parallel search tree: the state reached after
+    /// A node of the search tree: the state reached after
     /// matching `line` lines, linked to the path that got there. Tasks
     /// are the unit of stealing; the parent chain doubles as the witness
     /// path and as the completion tree for dead-end detection.
@@ -666,8 +516,7 @@ namespace scv::spec
       uint64_t fp = 0;
       /// Children whose subtrees are still unresolved. The worker that
       /// fails the last one proves this node dead, memoizes it, and
-      /// propagates upward — the parallel analogue of the sequential
-      /// post-order memoization.
+      /// propagates upward (post-order memoization).
       std::atomic<size_t> pending{0};
     };
     using TaskPtr = std::shared_ptr<Task>;
@@ -705,14 +554,15 @@ namespace scv::spec
       std::vector<S> witness;
     };
 
-    void run_dfs_parallel()
+    void run_dfs()
     {
       const WorkerPool pool(options_.threads);
-      DfsShared shared(
-        pool.size(), 4 * static_cast<size_t>(pool.size()), init_.size());
+      DfsShared shared(pool.size(), pool.stripe_count(), init_.size());
       budget_.set_stop_flag(&shared.stop);
 
-      for (size_t i = 0; i < init_.size(); ++i)
+      // Roots in reverse: pop_bottom is LIFO, so a single worker searches
+      // the initial states in order.
+      for (size_t i = init_.size(); i-- > 0;)
       {
         auto root = std::make_shared<Task>();
         root->state = init_[i];
@@ -821,9 +671,8 @@ namespace scv::spec
       }
     }
 
-    /// The parallel counterpart of enter(): match/budget/memo checks,
-    /// diagnostics, expansion — publishing children instead of pushing a
-    /// frame.
+    /// The per-node step of the search: match/budget/memo checks,
+    /// deepest-line diagnostics, expansion, and publishing the children.
     void dfs_process(DfsShared& shared, unsigned w, TaskPtr task, DfsLocal& local)
     {
       if (task->line == lines_.size())
@@ -846,7 +695,7 @@ namespace scv::spec
       if (budget_.exhausted(shared.explored.load(std::memory_order_relaxed)))
       {
         // Not a proven dead end — but once the budget is exhausted every
-        // path fails the same way, exactly like the sequential wind-down.
+        // path fails the same way.
         subtree_failed(shared, std::move(task), false);
         return;
       }
@@ -888,8 +737,8 @@ namespace scv::spec
       // a thief may fail a stolen child while we are still pushing.
       task->pending.store(successors.size(), std::memory_order_relaxed);
       // Push in reverse: pop_bottom is LIFO, so the owner descends into
-      // the first successor next (the sequential sibling order) while
-      // thieves take later siblings from the top.
+      // the first successor next while thieves take later siblings from
+      // the top.
       for (size_t i = successors.size(); i-- > 0;)
       {
         auto child = std::make_shared<Task>();
@@ -946,8 +795,5 @@ namespace scv::spec
     Expander<S> expander_;
     Store* coverage_store_ = nullptr;
     ValidationResult<S> result_;
-    std::unordered_set<uint64_t> dead_;
-    size_t deepest_line_ = 0;
-    std::vector<S> deepest_frontier_;
   };
 }

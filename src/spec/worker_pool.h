@@ -6,11 +6,12 @@
 // w in [0, size()) and wait for everyone. This type owns that pattern —
 // including the two conventions every engine must agree on:
 //   * requested == 0 means one worker per hardware thread;
-//   * size() == 1 runs fn inline on the calling thread, so a single-worker
-//     "pool" is exactly the sequential engine (no thread is spawned, no
-//     memory ordering is in play, results are bit-identical).
+//   * size() == 1 runs fn inline on the calling thread: one worker is the
+//     same engine code with no thread spawned and no interleaving, so its
+//     results are deterministic.
 #pragma once
 
+#include <cstddef>
 #include <thread>
 #include <vector>
 
@@ -37,6 +38,16 @@ namespace scv::spec
     [[nodiscard]] unsigned size() const
     {
       return threads_;
+    }
+
+    /// Lock stripes for a table these workers share (store shards, memo
+    /// stripes): 4 per worker, so two workers rarely hash to the same
+    /// stripe, except that one worker gets exactly one, whose store IDs
+    /// are then dense in insertion order. The tables round up to a power
+    /// of two, so 4w - 3 gives the same count as 4w for every w > 1.
+    [[nodiscard]] size_t stripe_count() const
+    {
+      return 4 * static_cast<size_t>(threads_) - 3;
     }
 
     /// Runs fn(w) for every worker index and joins before returning. The

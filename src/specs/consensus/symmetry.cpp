@@ -158,8 +158,21 @@ namespace scv::specs::ccfraft
       sent[j] = node.sent_index[j];
       match[j] = node.match_index[j];
     }
-    std::sort(sent.begin(), sent.begin() + n);
-    std::sort(match.begin(), match.begin() + n);
+    // Insertion sort of the n <= kMaxNodes prefix. std::sort's 16-element
+    // threshold branch trips GCC 12's -Warray-bounds on these 7-byte
+    // arrays under UBSan instrumentation (a false positive that breaks
+    // the -Werror sanitizer build).
+    const auto sort_prefix = [n](std::array<uint8_t, kMaxNodes>& a) {
+      for (size_t i = 1; i < n; ++i)
+      {
+        for (size_t j = i; j > 0 && a[j - 1] > a[j]; --j)
+        {
+          std::swap(a[j - 1], a[j]);
+        }
+      }
+    };
+    sort_prefix(sent);
+    sort_prefix(match);
     for (size_t j = 0; j < n; ++j)
     {
       mix(sent[j]);

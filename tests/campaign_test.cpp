@@ -440,8 +440,8 @@ TEST(Campaign, LeftoverBudgetReassignmentIsVisibleInStats)
 }
 
 // ---------------------------------------------------------------------------
-// threads=1 golden results: the unified entry points must reproduce the
-// pre-redesign engines bit for bit. These constants were produced by the
+// threads=1 golden results: one worker must reproduce the pre-redesign
+// engines bit for bit. These constants were produced by the
 // pre-unification sequential engines.
 // ---------------------------------------------------------------------------
 

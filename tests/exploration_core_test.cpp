@@ -576,6 +576,12 @@ TEST(ParallelDfs, MatchesSequentialOnValidTrace)
   }
   const auto seq = run_dfs(lines, 1);
   ASSERT_TRUE(seq.ok);
+  // One worker never steals: its search order, and so its witness and
+  // work count, are the same on every run.
+  const auto again = run_dfs(lines, 1);
+  EXPECT_EQ(again.witness, seq.witness);
+  EXPECT_EQ(again.states_explored, seq.states_explored);
+  EXPECT_EQ(again.stats.steals, 0u);
   for (const unsigned threads : {2u, 4u})
   {
     const auto par = run_dfs(lines, threads);
@@ -590,7 +596,7 @@ TEST(ParallelDfs, MatchesSequentialOnInvalidTrace)
 {
   // Wide branching, then an impossible line: every subtree is explored
   // and proven dead, so verdict, deepest line, and failing line must all
-  // match the sequential search.
+  // match the one-worker search.
   std::vector<TraceLineExpander<CounterState>> lines;
   for (int i = 0; i < 8; ++i)
   {
@@ -649,7 +655,7 @@ TEST(ParallelDfs, SharedMemoPrunesAcrossWorkers)
   // Without memoization the search would enter one node per path prefix
   // (>> 2^16); concurrent duplicate entries are possible but bounded.
   EXPECT_LT(par.stats.distinct_states, 1u << 14);
-  // The memo hits are also counted as duplicates, matching sequential.
+  // The memo hits are also counted as duplicates, as at one worker.
   EXPECT_EQ(par.stats.duplicate_states, par.stats.memo_hits);
 }
 

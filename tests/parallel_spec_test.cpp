@@ -1,7 +1,10 @@
 // Tests for the parallel exploration engine: the sharded fingerprint
-// store's ID scheme and dedup, threads=1 equivalence with the sequential
-// reference engines, and multi-worker runs finding the same violations and
-// covering the same state space as single-worker runs.
+// store's ID scheme and dedup, one-worker goldens, and multi-worker runs
+// finding the same violations and covering the same state space as
+// single-worker runs.
+#include <atomic>
+#include <map>
+
 #include <gtest/gtest.h>
 
 #include "spec/model_checker.h"
@@ -119,21 +122,6 @@ namespace
         " hidden=" + std::to_string(hidden);
     }
   };
-
-  void expect_same_counterexample(
-    const std::optional<Counterexample<CounterState>>& a,
-    const std::optional<Counterexample<CounterState>>& b)
-  {
-    ASSERT_TRUE(a.has_value());
-    ASSERT_TRUE(b.has_value());
-    EXPECT_EQ(a->property, b->property);
-    ASSERT_EQ(a->steps.size(), b->steps.size());
-    for (size_t i = 0; i < a->steps.size(); ++i)
-    {
-      EXPECT_EQ(a->steps[i].action, b->steps[i].action);
-      EXPECT_EQ(a->steps[i].state, b->steps[i].state);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -208,38 +196,59 @@ TEST(ShardedStateStore, FingerprintCollisionFallsBackToStateComparison)
 }
 
 // ---------------------------------------------------------------------------
-// Frontier-batched path at one worker must reproduce the sequential
-// engine. The unified ModelChecker routes threads=1 to the sequential
-// path, so attaching an (empty) external store is what forces the
-// frontier path here — the same route campaign runs take.
+// One worker: the frontier-batched engine run inline must reproduce the
+// results of the sequential FIFO BFS it replaced. The goldens below are
+// that engine's recorded answers (distinct, generated, transitions, max
+// depth, coverage, counterexamples). Each spec is checked on a private
+// store and on an attached (campaign) store.
 // ---------------------------------------------------------------------------
 
 namespace
 {
   template <class S>
-  CheckResult<S> check_frontier_path(const SpecDef<S>& spec, CheckLimits limits)
+  std::vector<CheckResult<S>> check_one_worker(const SpecDef<S>& spec)
   {
+    std::vector<CheckResult<S>> results;
+    results.push_back(ModelChecker<S>(spec).check());
     ShardedStateStore<S> store(1);
-    ModelChecker<S> checker(spec, limits);
-    checker.attach_store(&store, EngineId::Checker);
-    return checker.check();
+    ModelChecker<S> attached(spec);
+    attached.attach_store(&store, EngineId::Checker);
+    results.push_back(attached.check());
+    return results;
+  }
+
+  template <class S>
+  void expect_counterexample(
+    const CheckResult<S>& r,
+    const std::string& property,
+    const std::vector<TraceStep<S>>& steps)
+  {
+    ASSERT_FALSE(r.ok);
+    ASSERT_TRUE(r.counterexample.has_value());
+    EXPECT_EQ(r.counterexample->property, property);
+    ASSERT_EQ(r.counterexample->steps.size(), steps.size());
+    for (size_t i = 0; i < steps.size(); ++i)
+    {
+      EXPECT_EQ(r.counterexample->steps[i].action, steps[i].action);
+      EXPECT_EQ(r.counterexample->steps[i].state, steps[i].state);
+    }
   }
 }
 
 TEST(ModelCheckerFrontierPath, SingleWorkerMatchesSequentialOnCleanSpec)
 {
-  const auto spec = counter_spec(100);
-  const auto sequential = ModelChecker<CounterState>(spec).run();
-  CheckLimits limits;
-  limits.threads = 1;
-  const auto parallel = check_frontier_path(spec, limits);
-  EXPECT_TRUE(parallel.ok);
-  EXPECT_TRUE(parallel.stats.complete);
-  EXPECT_EQ(parallel.stats.distinct_states, sequential.stats.distinct_states);
-  EXPECT_EQ(parallel.stats.generated_states, sequential.stats.generated_states);
-  EXPECT_EQ(parallel.stats.transitions, sequential.stats.transitions);
-  EXPECT_EQ(parallel.stats.max_depth, sequential.stats.max_depth);
-  EXPECT_EQ(parallel.stats.action_coverage, sequential.stats.action_coverage);
+  for (const auto& r : check_one_worker(counter_spec(100)))
+  {
+    EXPECT_TRUE(r.ok);
+    EXPECT_TRUE(r.stats.complete);
+    EXPECT_EQ(r.stats.distinct_states, 101u);
+    EXPECT_EQ(r.stats.generated_states, 101u);
+    EXPECT_EQ(r.stats.transitions, 100u);
+    EXPECT_EQ(r.stats.max_depth, 100u);
+    EXPECT_EQ(
+      r.stats.action_coverage,
+      (std::map<std::string, uint64_t>{{"Increment", 100}}));
+  }
 }
 
 TEST(ModelCheckerFrontierPath, SingleWorkerMatchesSequentialCounterexample)
@@ -247,15 +256,17 @@ TEST(ModelCheckerFrontierPath, SingleWorkerMatchesSequentialCounterexample)
   auto spec = counter_spec(10);
   spec.invariants.push_back(
     {"BelowFive", [](const CounterState& s) { return s.value < 5; }});
-  const auto sequential = ModelChecker<CounterState>(spec).run();
-  CheckLimits limits;
-  limits.threads = 1;
-  const auto parallel = check_frontier_path(spec, limits);
-  ASSERT_FALSE(sequential.ok);
-  ASSERT_FALSE(parallel.ok);
-  EXPECT_EQ(
-    parallel.stats.distinct_states, sequential.stats.distinct_states);
-  expect_same_counterexample(parallel.counterexample, sequential.counterexample);
+  std::vector<TraceStep<CounterState>> steps = {{"<init>", CounterState{0}}};
+  for (int v = 1; v <= 5; ++v)
+  {
+    steps.push_back({"Increment", CounterState{v}});
+  }
+  for (const auto& r : check_one_worker(spec))
+  {
+    EXPECT_EQ(r.stats.distinct_states, 6u);
+    EXPECT_EQ(r.stats.generated_states, 6u);
+    expect_counterexample(r, "BelowFive", steps);
+  }
 }
 
 TEST(ModelCheckerFrontierPath, SingleWorkerMatchesSequentialActionProperty)
@@ -274,44 +285,145 @@ TEST(ModelCheckerFrontierPath, SingleWorkerMatchesSequentialActionProperty)
     {"Monotonic", [](const CounterState& a, const CounterState& b) {
        return b.value >= a.value;
      }});
-  const auto sequential = ModelChecker<CounterState>(spec).run();
-  CheckLimits limits;
-  limits.threads = 1;
-  const auto parallel = check_frontier_path(spec, limits);
-  ASSERT_FALSE(sequential.ok);
-  ASSERT_FALSE(parallel.ok);
-  EXPECT_EQ(parallel.stats.generated_states, sequential.stats.generated_states);
-  expect_same_counterexample(parallel.counterexample, sequential.counterexample);
+  for (const auto& r : check_one_worker(spec))
+  {
+    // 0 -> 1 -> 2 is admitted; 1 -> 0 is generated and violates.
+    EXPECT_EQ(r.stats.distinct_states, 3u);
+    EXPECT_EQ(r.stats.generated_states, 4u);
+    expect_counterexample(
+      r,
+      "Monotonic",
+      {{"<init>", CounterState{0}},
+       {"Increment", CounterState{1}},
+       {"Decrement", CounterState{0}}});
+  }
 }
 
 TEST(ModelCheckerFrontierPath, SingleWorkerMatchesSequentialDieHard)
 {
-  const auto spec = die_hard_spec();
-  const auto sequential = ModelChecker<Jugs>(spec).run();
-  CheckLimits limits;
-  limits.threads = 1;
-  const auto parallel = check_frontier_path(spec, limits);
-  ASSERT_FALSE(parallel.ok);
-  ASSERT_TRUE(parallel.counterexample.has_value());
-  EXPECT_EQ(parallel.counterexample->steps.size(), 7u);
-  EXPECT_EQ(parallel.counterexample->steps.back().state.big, 4);
-  ASSERT_TRUE(sequential.counterexample.has_value());
-  ASSERT_EQ(
-    sequential.counterexample->steps.size(),
-    parallel.counterexample->steps.size());
-  for (size_t i = 0; i < parallel.counterexample->steps.size(); ++i)
+  for (const auto& r : check_one_worker(die_hard_spec()))
   {
-    EXPECT_EQ(
-      parallel.counterexample->steps[i].action,
-      sequential.counterexample->steps[i].action);
-    EXPECT_EQ(
-      parallel.counterexample->steps[i].state,
-      sequential.counterexample->steps[i].state);
+    EXPECT_EQ(r.stats.distinct_states, 14u);
+    EXPECT_EQ(r.stats.generated_states, 43u);
+    EXPECT_EQ(r.stats.duplicate_states, 29u);
+    expect_counterexample(
+      r,
+      "NotFourGallons",
+      {{"<init>", Jugs{0, 0}},
+       {"FillBig", Jugs{0, 5}},
+       {"BigToSmall", Jugs{3, 2}},
+       {"EmptySmall", Jugs{0, 2}},
+       {"BigToSmall", Jugs{2, 0}},
+       {"FillBig", Jugs{2, 5}},
+       {"BigToSmall", Jugs{3, 4}}});
+  }
+}
+
+// The BFS frontier borrows its states from the store: a complete check
+// copies each admitted state exactly once (into the store) and never
+// moves one, at any worker count and in both store modes.
+namespace
+{
+  struct CopyCounted
+  {
+    int x = 0;
+    int y = 0;
+    static inline std::atomic<uint64_t> copies{0};
+    static inline std::atomic<uint64_t> moves{0};
+
+    CopyCounted(int x_, int y_) : x(x_), y(y_) {}
+    CopyCounted(const CopyCounted& o) : x(o.x), y(o.y)
+    {
+      copies++;
+    }
+    CopyCounted(CopyCounted&& o) noexcept : x(o.x), y(o.y)
+    {
+      moves++;
+    }
+    CopyCounted& operator=(const CopyCounted& o)
+    {
+      x = o.x;
+      y = o.y;
+      copies++;
+      return *this;
+    }
+    CopyCounted& operator=(CopyCounted&& o) noexcept
+    {
+      x = o.x;
+      y = o.y;
+      moves++;
+      return *this;
+    }
+    ~CopyCounted() = default;
+
+    bool operator==(const CopyCounted& o) const
+    {
+      return x == o.x && y == o.y;
+    }
+    void serialize(ByteSink& sink) const
+    {
+      sink.u32(static_cast<uint32_t>(x));
+      sink.u32(static_cast<uint32_t>(y));
+    }
+    [[nodiscard]] std::string to_string() const
+    {
+      return "x=" + std::to_string(x) + " y=" + std::to_string(y);
+    }
+  };
+
+  /// A 31x31 grid walked by two actions: 961 states, most reached twice.
+  SpecDef<CopyCounted> grid_spec()
+  {
+    SpecDef<CopyCounted> def;
+    def.name = "grid";
+    def.init.emplace_back(0, 0);
+    def.actions.push_back(
+      {"Right",
+       [](const CopyCounted& s, const Emit<CopyCounted>& emit) {
+         if (s.x < 30)
+         {
+           emit(CopyCounted(s.x + 1, s.y));
+         }
+       },
+       1.0});
+    def.actions.push_back(
+      {"Up",
+       [](const CopyCounted& s, const Emit<CopyCounted>& emit) {
+         if (s.y < 30)
+         {
+           emit(CopyCounted(s.x, s.y + 1));
+         }
+       },
+       1.0});
+    return def;
+  }
+}
+
+TEST(ModelCheckerFrontierPath, OneStateCopyPerAdmittedState)
+{
+  const auto spec = grid_spec();
+  for (const unsigned threads : {1u, 4u})
+  {
+    for (const StoreMode mode : {StoreMode::full, StoreMode::fingerprint_only})
+    {
+      CheckLimits limits;
+      limits.threads = threads;
+      limits.store.mode = mode;
+      CopyCounted::copies = 0;
+      CopyCounted::moves = 0;
+      const auto r = model_check(spec, limits);
+      ASSERT_TRUE(r.ok);
+      ASSERT_TRUE(r.stats.complete);
+      EXPECT_EQ(r.stats.distinct_states, 961u);
+      EXPECT_EQ(CopyCounted::copies.load(), r.stats.distinct_states)
+        << "threads=" << threads;
+      EXPECT_EQ(CopyCounted::moves.load(), 0u) << "threads=" << threads;
+    }
   }
 }
 
 // ---------------------------------------------------------------------------
-// ModelChecker: multi-worker behavior (threads > 1 dispatch)
+// ModelChecker: multi-worker behavior (threads > 1)
 // ---------------------------------------------------------------------------
 
 namespace
@@ -536,7 +648,8 @@ TEST(SimulatorFanout, ObserverSeesStatesFromAllWorkers)
   EXPECT_EQ(observed, result.behaviors + result.stats.transitions);
 }
 
-// model_check() dispatch: the threads field routes to the same results.
+// model_check(): the threads field only sets the worker count; the
+// results are the same.
 TEST(ModelCheckDispatch, ThreadsFieldRoutesBothEngines)
 {
   auto spec = counter_spec(50);

@@ -607,8 +607,8 @@ TEST(SnapshotTraceValidation, CompactCrashRestartValidatesAtBothThreadCounts)
   c.restart(JoinSpec(*leader));
   ASSERT_TRUE(converged(c, {1, 2, 3}, c.node(nl).commit_index()));
 
-  // Identical verdicts from the sequential reference search and the
-  // parallel one.
+  // Identical verdicts from the one-worker search and the four-worker
+  // one.
   const auto params = trace::validation_params({1, 2, 3}, 1, 3);
   trace::ConsensusValidationOptions seq;
   seq.search.threads = 1;

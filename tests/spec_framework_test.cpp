@@ -286,7 +286,7 @@ TEST(Simulator, WeightsBiasActionChoice)
   (void)weighted.run();
   EXPECT_GT(last_weighted, 700); // strong upward drift
 
-  options.use_weights = false;
+  options.mode = WeightingMode::Uniform;
   Simulator<CounterState> uniform(def, options);
   int last_uniform = 0;
   uniform.set_observer(

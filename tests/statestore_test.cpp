@@ -909,7 +909,7 @@ TEST(Spill, ClearReleasesSpillAndStoreIsReusable)
 
 TEST(Spill, CheckerSpillsAtHousekeepingPointsAndStaysCorrect)
 {
-  // End-to-end: a sequential fingerprint-only check with an aggressive
+  // End-to-end: a one-worker fingerprint-only check with an aggressive
   // spill policy (zero budget) still explores the exact same space and
   // reports spilled bytes once the arena freezes a block (>65536 states).
   auto spec = counter_spec(200'000);

@@ -206,7 +206,7 @@ TEST(TraceValidation, DfsAndBfsAgree)
 TEST(TraceValidation, ParallelBfsMatchesSequentialOnConsensusTrace)
 {
   // A real consensus trace with an election (nondeterministic frontier):
-  // the parallel BFS frontier must reproduce the sequential verdict,
+  // the four-worker BFS frontier must reproduce the one-worker verdict,
   // per-line frontier sizes, work count, and full witness length.
   Cluster c(three_nodes(113));
   c.submit("x");
@@ -284,7 +284,7 @@ TEST(TraceValidation, ParallelDfsRejectsCorruptedConsensusTrace)
 {
   // The corrupted trace from CorruptedCommitIndexRejected, at every
   // worker count: the deepest-line diagnostics must match the
-  // sequential search (every subtree is exhausted before rejection).
+  // one-worker search (every subtree is exhausted before rejection).
   Cluster c(three_nodes(115));
   c.submit("x");
   c.sign();
@@ -502,7 +502,7 @@ TEST(TraceValidation, ParallelDfsBridgesDuplicatesWithFaultComposition)
 {
   // Fault composition (IsFault · Next) under the work-stealing search:
   // the duplicate-delivery trace validates at 4 workers exactly as it
-  // does sequentially.
+  // does at one.
   const auto events = run_duplicate_delivery({});
   const auto p = params_for(three_nodes(119), 3);
 
