@@ -51,6 +51,15 @@ int main(int argc, char** argv)
     {
       seconds = std::strtod(argv[i] + 10, nullptr);
     }
+    else
+    {
+      std::fprintf(
+        stderr,
+        "unknown argument: %s\n"
+        "usage: nemesis_fuzz [--seed=N] [--seconds=S]\n",
+        argv[i]);
+      return 2;
+    }
   }
 
   BenchReport out("nemesis");

@@ -218,6 +218,17 @@ int main(int argc, char** argv)
     {
       args.determinism = true;
     }
+    else
+    {
+      std::fprintf(
+        stderr,
+        "unknown argument: %s\n"
+        "usage: smallbank_load [--seed=N] [--threads=T] [--ticks=N] "
+        "[--period=N]\n"
+        "                      [--accounts=N] [--batch=N] [--determinism]\n",
+        argv[i]);
+      return 2;
+    }
   }
 
   BenchReport out("smallbank");

@@ -63,7 +63,15 @@ int main(int argc, char** argv)
   bool quick = false;
   for (int i = 1; i < argc; ++i)
   {
-    quick = quick || std::strcmp(argv[i], "--quick") == 0;
+    if (std::strcmp(argv[i], "--quick") != 0)
+    {
+      std::fprintf(
+        stderr,
+        "unknown argument: %s\nusage: symmetry_ablation [--quick]\n",
+        argv[i]);
+      return 2;
+    }
+    quick = true;
   }
 
   const Params params = ablation_model();

@@ -162,8 +162,11 @@ done
 # builds. BFS frontier items are pointers to store bodies, so a body
 # dropped before its level is expanded is a use-after-free that only ASan
 # reports: parallel_spec_test and symmetry_test run the checker at one and
-# four workers in both store modes. TSan (above, via ctest) covers the
-# races; this covers the memory.
+# four workers in both store modes, and exploration_core_test runs the
+# BFS validator, whose frontier items always borrow store bodies (there is
+# no chain-node fallback), including the fingerprint-only 50k-line
+# witness. TSan (above, via ctest) covers the races; this covers the
+# memory.
 echo "=== configure build-asan (-DSCV_SANITIZE=address) ==="
 # -Wno-maybe-uninitialized: like the UBSan variant's stringop-overflow
 # exception below, GCC 12's analysis false-positives inside std::variant
@@ -173,8 +176,9 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Release -DSCV_WERROR=ON \
   -DSCV_SANITIZE=address -DCMAKE_CXX_FLAGS=-Wno-maybe-uninitialized
 echo "=== build build-asan (store and BFS engine tests) ==="
 cmake --build build-asan -j "${JOBS}" --target \
-  statestore_test parallel_spec_test symmetry_test
-for t in statestore_test parallel_spec_test symmetry_test; do
+  statestore_test parallel_spec_test symmetry_test exploration_core_test
+for t in statestore_test parallel_spec_test symmetry_test \
+  exploration_core_test; do
   echo "--- ${t} (asan) ---"
   "./build-asan/tests/${t}"
 done

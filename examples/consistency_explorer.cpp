@@ -8,9 +8,12 @@
 //   ./consistency_explorer [max_rw] [max_ro] [max_branches] [threads]
 //
 // threads > 1 runs the parallel checker (0 = hardware concurrency); the
-// result is the same either way, only the wall-clock changes.
+// result is the same either way, only the wall-clock changes. An argument
+// that is not an integer in 0..255, or a fifth argument, prints usage and
+// exits 2.
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 #include "spec/model_checker.h"
 #include "specs/consistency/spec.h"
@@ -20,12 +23,32 @@ using namespace scv::specs::consistency;
 
 int main(int argc, char** argv)
 {
+  // Positional bounds: max_rw, max_ro, max_branches, threads.
+  unsigned long args[] = {2, 1, 2, 1};
+  constexpr int n_args = static_cast<int>(std::size(args));
+  for (int i = 1; i < argc; ++i)
+  {
+    char* end = nullptr;
+    const unsigned long v = std::strtoul(argv[i], &end, 10);
+    if (
+      i > n_args || argv[i][0] < '0' || argv[i][0] > '9' || *end != '\0' ||
+      v > 255)
+    {
+      std::fprintf(
+        stderr,
+        "invalid argument: %s\n"
+        "usage: consistency_explorer [max_rw] [max_ro] [max_branches] "
+        "[threads]\n",
+        argv[i]);
+      return 2;
+    }
+    args[i - 1] = v;
+  }
   Params p;
-  p.max_rw_txs = argc > 1 ? static_cast<uint8_t>(std::atoi(argv[1])) : 2;
-  p.max_ro_txs = argc > 2 ? static_cast<uint8_t>(std::atoi(argv[2])) : 1;
-  p.max_branches = argc > 3 ? static_cast<uint8_t>(std::atoi(argv[3])) : 2;
-  const unsigned threads =
-    argc > 4 ? static_cast<unsigned>(std::atoi(argv[4])) : 1;
+  p.max_rw_txs = static_cast<uint8_t>(args[0]);
+  p.max_ro_txs = static_cast<uint8_t>(args[1]);
+  p.max_branches = static_cast<uint8_t>(args[2]);
+  const auto threads = static_cast<unsigned>(args[3]);
 
   std::printf(
     "model: up to %d rw txs, %d ro txs, %d log branches (%u worker%s)\n\n",

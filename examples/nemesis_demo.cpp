@@ -77,7 +77,13 @@ int main(int argc, char** argv)
     }
     else
     {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      std::fprintf(
+        stderr,
+        "unknown argument: %s\n"
+        "usage: nemesis_demo [--seed=N] [--seconds=S] [--clean-runs=N]\n"
+        "                    [--bug-runs=N] [--scen-out=path] "
+        "[--validate-threads=N]\n",
+        argv[i]);
       return 2;
     }
   }

@@ -3,17 +3,18 @@
 // then corrupt one line and watch validation fail with the paper's
 // "unsatisfied state" diagnostics.
 //
-//   ./trace_validate_demo [--mode=all|dfs|bfs] [--threads=N] [--prune]
+//   ./trace_validate_demo [--mode=all|dfs|bfs] [--threads=N]
 //                         [--max-diagnostics=K] [trace-output.jsonl]
 //
 // --threads selects the worker count (ValidationOptions::threads; 1 = one
 // worker, deterministic; 0 = hardware concurrency). It applies to both
 // engines: BFS splits each line's frontier across the fork-join pool; DFS
-// runs the work-stealing search with the shared dead-end memo. --mode narrows the run to one engine — CI smokes
-// `--mode=dfs` at threads 1 and 4 under ThreadSanitizer. --prune enables
-// the store-backed BFS memory mode (frontier-only predecessor chains).
-// --max-diagnostics caps the candidate states kept for the
-// unsatisfied-state report (ValidationOptions::max_diagnostic_states).
+// runs the work-stealing search with the shared dead-end memo. --mode
+// narrows the run to one engine — CI smokes `--mode=dfs` at threads 1 and
+// 4 under ThreadSanitizer. --max-diagnostics caps the candidate states
+// kept for the unsatisfied-state report
+// (ValidationOptions::max_diagnostic_states). Any other "--" argument, or
+// a second trace path, prints usage and exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,12 +28,26 @@
 using namespace scv;
 using namespace scv::driver;
 
+namespace
+{
+  int usage(const char* arg)
+  {
+    std::fprintf(
+      stderr,
+      "unknown argument: %s\n"
+      "usage: trace_validate_demo [--mode=all|dfs|bfs] [--threads=N]\n"
+      "                           [--max-diagnostics=K] "
+      "[trace-output.jsonl]\n",
+      arg);
+    return 2;
+  }
+}
+
 int main(int argc, char** argv)
 {
   unsigned threads = 1;
   size_t max_diagnostics = 8;
   std::string mode = "all";
-  bool prune = false;
   const char* trace_path = nullptr;
   for (int i = 1; i < argc; ++i)
   {
@@ -49,13 +64,13 @@ int main(int argc, char** argv)
         return 2;
       }
     }
-    else if (std::strcmp(argv[i], "--prune") == 0)
-    {
-      prune = true;
-    }
     else if (std::strncmp(argv[i], "--max-diagnostics=", 18) == 0)
     {
       max_diagnostics = std::strtoull(argv[i] + 18, nullptr, 10);
+    }
+    else if (std::strncmp(argv[i], "--", 2) == 0 || trace_path != nullptr)
+    {
+      return usage(argv[i]);
     }
     else
     {
@@ -139,13 +154,11 @@ int main(int argc, char** argv)
   if (run_bfs)
   {
     vopts.search.mode = spec::SearchMode::Bfs;
-    vopts.search.prune_bfs_store = prune;
     const auto bfs = trace::validate_consensus_trace(c.trace(), params, vopts);
     std::printf(
-      "validation (BFS, threads=%u%s): %s — %zu/%zu lines matched, %llu "
+      "validation (BFS, threads=%u): %s — %zu/%zu lines matched, %llu "
       "states explored, witness of %zu states, %.3fs\n",
       threads,
-      prune ? ", pruned store" : "",
       bfs.ok ? "VALID" : "INVALID",
       bfs.lines_matched,
       events.size(),

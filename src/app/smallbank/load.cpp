@@ -9,6 +9,18 @@ namespace scv::app::smallbank
 {
   using consensus::TxStatus;
 
+  namespace
+  {
+    /// Opening balances for every account.
+    constexpr int64_t kInitialChecking = 10000;
+    constexpr int64_t kInitialSavings = 10000;
+    /// Operations per arrival instant.
+    constexpr uint64_t kOpsPerArrival = 1;
+    /// Extra ticks after the last arrival to let in-flight transactions
+    /// commit (and again to let followers converge).
+    constexpr uint64_t kDrainTicks = 300;
+  }
+
   uint64_t latency_percentile(std::vector<uint64_t> latencies, double p)
   {
     if (latencies.empty())
@@ -76,8 +88,8 @@ namespace scv::app::smallbank
       create_accounts(
         tx,
         options_.workload.accounts,
-        options_.initial_checking,
-        options_.initial_savings);
+        kInitialChecking,
+        kInitialSavings);
       return true;
     });
     SCV_CHECK_MSG(
@@ -104,7 +116,7 @@ namespace scv::app::smallbank
     {
       if (t % options_.submit_period == 0)
       {
-        for (uint64_t k = 0; k < options_.ops_per_arrival; ++k)
+        for (uint64_t k = 0; k < kOpsPerArrival; ++k)
         {
           const Op op = next_op(rng_, options_.workload);
           result.submitted += 1;
@@ -154,8 +166,7 @@ namespace scv::app::smallbank
 
     // --- drain: close the open batch and let in-flight commits land.
     session_.flush();
-    for (uint64_t t = 0; t < options_.drain_ticks && !outstanding_.empty();
-         ++t)
+    for (uint64_t t = 0; t < kDrainTicks && !outstanding_.empty(); ++t)
     {
       step(result);
     }
@@ -165,7 +176,7 @@ namespace scv::app::smallbank
     // before followers learn the new commit index; run until every node's
     // committed prefix matches so post-run replica checks see a quiet
     // cluster.
-    for (uint64_t t = 0; t < options_.drain_ticks; ++t)
+    for (uint64_t t = 0; t < kDrainTicks; ++t)
     {
       bool converged = true;
       for (const driver::NodeId id : cluster_.node_ids())

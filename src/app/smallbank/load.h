@@ -29,21 +29,13 @@ namespace scv::app::smallbank
     driver::ClusterOptions cluster;
     WorkloadOptions workload;
     uint64_t seed = 1;
-    /// Opening balances for every account.
-    int64_t initial_checking = 10000;
-    int64_t initial_savings = 10000;
     /// Load phase length, in ticks.
     uint64_t duration_ticks = 400;
     /// One operation arrives every `submit_period` ticks (open loop).
     uint64_t submit_period = 2;
-    /// Operations per arrival instant.
-    uint64_t ops_per_arrival = 1;
     /// Session batch size: a signature transaction every N accepted
     /// read-write transactions.
     size_t batch_size = 4;
-    /// Extra ticks after the last arrival to let in-flight transactions
-    /// commit.
-    uint64_t drain_ticks = 300;
   };
 
   struct LoadResult

@@ -65,8 +65,7 @@ namespace scv::driver
   Cluster::Cluster(ClusterOptions options) :
     options_(std::move(options)),
     rng_(options_.seed),
-    network_(
-      options_.delivery_order, options_.min_latency, options_.max_latency)
+    network_(options_.min_latency, options_.max_latency)
   {
     for (const NodeId id : options_.initial_config)
     {

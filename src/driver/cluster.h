@@ -66,7 +66,6 @@ namespace scv::driver
     /// Template for per-node configuration; id and rng_seed are overridden
     /// per node.
     consensus::NodeConfig node_template;
-    net::DeliveryOrder delivery_order = net::DeliveryOrder::Unordered;
     uint64_t min_latency = 0;
     uint64_t max_latency = 0;
     uint64_t seed = 1;

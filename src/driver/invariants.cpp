@@ -21,47 +21,21 @@ namespace scv::driver
     return sink.digest();
   }
 
-  InvariantChecker::InvariantChecker(
-    const Cluster& cluster, InvariantOptions options) :
-    cluster_(cluster),
-    options_(options)
+  InvariantChecker::InvariantChecker(const Cluster& cluster) :
+    cluster_(cluster)
   {}
 
   std::vector<std::string> InvariantChecker::check()
   {
     std::vector<std::string> found;
-    if (options_.log_inv)
-    {
-      check_log_inv(found);
-    }
-    if (options_.append_only)
-    {
-      check_append_only(found);
-    }
-    if (options_.mono_log)
-    {
-      check_mono_log(found);
-    }
-    if (options_.election_safety)
-    {
-      check_election_safety(found);
-    }
-    if (options_.commit_monotonic)
-    {
-      check_commit_monotonic(found);
-    }
-    if (options_.committable_sigs)
-    {
-      check_committable_sigs(found);
-    }
-    if (options_.match_sanity)
-    {
-      check_match_sanity(found);
-    }
-    if (options_.ledger_audit)
-    {
-      check_ledger_audit(found);
-    }
+    check_log_inv(found);
+    check_append_only(found);
+    check_mono_log(found);
+    check_election_safety(found);
+    check_commit_monotonic(found);
+    check_committable_sigs(found);
+    check_match_sanity(found);
+    check_ledger_audit(found);
     // Refresh temporal-check history only after every check has seen the
     // previous snapshot.
     for (const NodeId id : cluster_.node_ids())

@@ -17,6 +17,9 @@
 //                      the first fix for "commit advance for previous term")
 //  * MatchSanity     — a leader never believes a peer has replicated more
 //                      than the peer's actual (same-term) log
+//  * LedgerAudit     — every signature transaction's embedded Merkle root
+//                      and signature verify against the preceding entries
+//                      (offline auditability, §2.1)
 //
 // check() is called at designated steps; it accumulates history (committed
 // prefixes, observed leaders) between calls, so temporal properties are
@@ -31,28 +34,12 @@
 
 namespace scv::driver
 {
-  struct InvariantOptions
-  {
-    bool log_inv = true;
-    bool append_only = true;
-    bool mono_log = true;
-    bool election_safety = true;
-    bool commit_monotonic = true;
-    bool committable_sigs = true;
-    bool match_sanity = true;
-    /// Offline-auditability check: every signature transaction's embedded
-    /// Merkle root and signature verify against the preceding entries
-    /// (§2.1). Costs a full ledger re-hash per node per check.
-    bool ledger_audit = true;
-  };
-
   class InvariantChecker
   {
   public:
-    explicit InvariantChecker(
-      const Cluster& cluster, InvariantOptions options = {});
+    explicit InvariantChecker(const Cluster& cluster);
 
-    /// Runs all enabled checks; returns violations found in this call and
+    /// Runs every check; returns violations found in this call and
     /// also accumulates them in all_violations().
     std::vector<std::string> check();
 
@@ -77,7 +64,6 @@ namespace scv::driver
     void check_ledger_audit(std::vector<std::string>& out) const;
 
     const Cluster& cluster_;
-    InvariantOptions options_;
     std::vector<std::string> violations_;
 
     // History for temporal checks.

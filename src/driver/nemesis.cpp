@@ -16,6 +16,12 @@ namespace scv::driver::nemesis
   {
     constexpr NodeId kMaxSpecNode = 7; // spec validation supports ids 1..7
     constexpr const char* kViolationPrefix = "invariant violation";
+    /// Cap on schedules the shrinker executes for one failure.
+    constexpr uint64_t kMaxShrinkIterations = 400;
+    /// Per-trace validation caps: candidate states and seconds (the fuzz
+    /// Budget's remaining time binds first when it is shorter).
+    constexpr uint64_t kValidateMaxStates = 200000;
+    constexpr double kValidateSeconds = 10.0;
 
     [[nodiscard]] bool is_violation(const std::string& error)
     {
@@ -537,7 +543,7 @@ namespace scv::driver::nemesis
     uint64_t iterations = 0;
 
     const auto exhausted = [&]() {
-      return iterations >= options_.max_shrink_iterations ||
+      return iterations >= kMaxShrinkIterations ||
         budget.time_exhausted();
     };
     const auto fails = [&](const FaultSchedule& candidate) {
@@ -644,7 +650,7 @@ namespace scv::driver::nemesis
     vopts.fault_composition = true;
     vopts.search.mode = spec::SearchMode::Dfs;
     vopts.search.threads = options_.validate_threads;
-    vopts.search.max_states = options_.validate_max_states;
+    vopts.search.max_states = kValidateMaxStates;
     vopts.search.time_budget_seconds = seconds;
     const auto result = trace::validate_consensus_trace(raw, params, vopts);
     if (result.ok)
@@ -695,7 +701,7 @@ namespace scv::driver::nemesis
       if (options_.validate_traces)
       {
         const double share =
-          std::min(options_.validate_seconds, budget.remaining_seconds());
+          std::min(kValidateSeconds, budget.remaining_seconds());
         switch (validate_trace(schedule, outcome.trace, share))
         {
           case 0:

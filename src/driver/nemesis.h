@@ -109,11 +109,8 @@ namespace scv::driver::nemesis
     /// the implementation under test, the paper's alignment discipline).
     bool validate_traces = true;
     bool shrink = true;
-    uint64_t max_shrink_iterations = 400;
-    /// Per-trace validation caps (work-stealing DFS on validate_threads
-    /// workers; 1 = one worker, deterministic).
-    uint64_t validate_max_states = 200000;
-    double validate_seconds = 10.0;
+    /// Per-trace validation workers (work-stealing DFS; 1 = one worker,
+    /// deterministic).
     unsigned validate_threads = 1;
     /// Node template for the cluster under test (election timeouts,
     /// BugFlags, ...).

@@ -2,9 +2,9 @@
 //
 // Models the paper's network abstraction: a *multiset* of in-transit
 // messages (the trace spec in §6.2 explicitly redefines the network as a
-// multiset so resends are observable), with pluggable delivery order
-// (unordered or per-link FIFO), message loss, duplication, asymmetric
-// partitions, and per-link latency. All randomness comes from an external
+// multiset so resends are observable): any in-transit message may be
+// delivered next, with message loss, duplication, asymmetric partitions,
+// and per-link latency. All randomness comes from an external
 // Rng, so a (seed, schedule) pair reproduces a run exactly.
 #pragma once
 
@@ -20,12 +20,6 @@
 
 namespace scv::net
 {
-  enum class DeliveryOrder
-  {
-    Unordered, // any in-transit message may be delivered next
-    PerLinkFifo // messages on one directed link arrive in send order
-  };
-
   struct NetworkStats
   {
     uint64_t sent = 0;
@@ -50,11 +44,7 @@ namespace scv::net
       M payload;
     };
 
-    explicit SimNetwork(
-      DeliveryOrder order = DeliveryOrder::Unordered,
-      uint64_t min_latency = 0,
-      uint64_t max_latency = 0) :
-      order_(order),
+    explicit SimNetwork(uint64_t min_latency = 0, uint64_t max_latency = 0) :
       min_latency_(min_latency),
       max_latency_(max_latency)
     {
@@ -115,23 +105,16 @@ namespace scv::net
       return queue_;
     }
 
-    /// Indices of envelopes that may be delivered at `now` under the
-    /// configured delivery order.
+    /// Indices of envelopes whose latency has elapsed at `now`.
     [[nodiscard]] std::vector<size_t> deliverable(uint64_t now) const
     {
       std::vector<size_t> out;
       for (size_t i = 0; i < queue_.size(); ++i)
       {
-        const Envelope& e = queue_[i];
-        if (e.deliver_after > now)
+        if (queue_[i].deliver_after <= now)
         {
-          continue;
+          out.push_back(i);
         }
-        if (order_ == DeliveryOrder::PerLinkFifo && !is_link_head(i))
-        {
-          continue;
-        }
-        out.push_back(i);
       }
       return out;
     }
@@ -257,21 +240,6 @@ namespace scv::net
       return queue_.back().id;
     }
 
-    /// True if no earlier-queued envelope shares this envelope's link.
-    [[nodiscard]] bool is_link_head(size_t index) const
-    {
-      for (size_t j = 0; j < index; ++j)
-      {
-        if (
-          queue_[j].from == queue_[index].from &&
-          queue_[j].to == queue_[index].to)
-        {
-          return false;
-        }
-      }
-      return true;
-    }
-
     Envelope take(size_t index)
     {
       Envelope e = std::move(queue_[index]);
@@ -279,7 +247,6 @@ namespace scv::net
       return e;
     }
 
-    DeliveryOrder order_;
     uint64_t min_latency_;
     uint64_t max_latency_;
     LinkFilter links_;

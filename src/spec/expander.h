@@ -203,8 +203,7 @@ namespace scv::spec
 
   private:
     /// Copyable relaxed counters: engines copy Expanders only while
-    /// quiescent (e.g. simulator fan-out construction), so a plain load
-    /// snapshot is exact.
+    /// quiescent, so a plain load snapshot is exact.
     struct Counters
     {
       std::atomic<uint64_t> canonicalized{0};

@@ -14,7 +14,7 @@
 // are never read. Duplicate fingerprints are allowed (full-state stores
 // keep one entry per *state*, so genuine 64-bit collisions become multiple
 // entries with the same fingerprint); find() visits all of them in probe
-// order. There is no deletion — exploration stores only grow, then clear.
+// order. There is no deletion — exploration stores only grow.
 //
 // The home slot uses the *high* bits of a Fibonacci-mixed fingerprint:
 // shard selection already consumes the low bits of (fp ^ fp >> 32), so
@@ -58,7 +58,7 @@ namespace scv::spec
       return capacity_;
     }
 
-    /// Amortized-rehash grows performed since construction/clear().
+    /// Amortized-rehash grows performed since construction.
     [[nodiscard]] uint64_t rehash_count() const
     {
       return rehashes_;
@@ -117,19 +117,6 @@ namespace scv::spec
       }
       place(fp, local);
       ++size_;
-    }
-
-    /// Empties the table but keeps its capacity: per-line clears
-    /// (prune_bfs_store) refill to a similar size and should not re-pay
-    /// the rehash ladder every line.
-    void clear()
-    {
-      for (size_t i = 0; i < capacity_; ++i)
-      {
-        locals_[i] = empty_slot;
-      }
-      size_ = 0;
-      rehashes_ = 0;
     }
 
   private:

@@ -44,7 +44,7 @@
 //     insert() (the simulator and the validator's coverage tap retire
 //     bodies mid-run) — but never concurrently with a record()/body()
 //     reader of the same id.
-//   * maybe_spill(), for_each(), reconstruct_path() and clear() are
+//   * maybe_spill(), for_each() and reconstruct_path() are
 //     quiescent-only.
 #pragma once
 
@@ -193,7 +193,7 @@ namespace scv::spec
     /// for a duplicate). It is taken under the shard lock, so unlike
     /// record()/body() it is safe while other threads insert: full-mode
     /// deque elements and fingerprint-only map nodes never move, and the
-    /// pointer stays valid until drop_body() or clear(). The BFS engines
+    /// pointer stays valid until drop_body(). The BFS engines
     /// keep their frontiers as these pointers instead of state copies.
     struct InsertResult
     {
@@ -222,7 +222,17 @@ namespace scv::spec
 
     ~ShardedStateStore()
     {
-      release_spill();
+      for (Shard& shard : shards_)
+      {
+        for (size_t b = 0; b < shard.first_unspilled; ++b)
+        {
+          ::munmap(shard.blocks[b].data, block_bytes);
+        }
+        if (shard.spill_fd >= 0)
+        {
+          ::close(shard.spill_fd);
+        }
+      }
     }
 
     ShardedStateStore(const ShardedStateStore&) = delete;
@@ -643,31 +653,6 @@ namespace scv::spec
       return path;
     }
 
-    void clear()
-    {
-      release_spill();
-      for (Shard& shard : shards_)
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        shard.index.clear();
-        shard.blocks.clear();
-        shard.bodies.clear();
-        shard.frontier_bodies.clear();
-        shard.count = 0;
-        shard.first_unspilled = 0;
-        for (auto& c : shard.origin_counts)
-        {
-          c.store(0, std::memory_order_relaxed);
-        }
-        shard.index_bytes.store(0, std::memory_order_relaxed);
-        shard.heap_arena_bytes.store(0, std::memory_order_relaxed);
-        shard.body_bytes.store(0, std::memory_order_relaxed);
-        shard.spilled_bytes.store(0, std::memory_order_relaxed);
-        shard.rehashes.store(0, std::memory_order_relaxed);
-        shard.published.store(0, std::memory_order_release);
-      }
-    }
-
   private:
     // 65536 16-byte records = 1 MiB per slab block (a page multiple, so
     // spilled blocks mmap at block-aligned file offsets).
@@ -787,23 +772,6 @@ namespace scv::spec
         block_bytes, std::memory_order_relaxed);
       shard.spilled_bytes.fetch_add(block_bytes, std::memory_order_relaxed);
       return true;
-    }
-
-    void release_spill()
-    {
-      for (Shard& shard : shards_)
-      {
-        for (size_t b = 0; b < shard.first_unspilled; ++b)
-        {
-          ::munmap(shard.blocks[b].data, block_bytes);
-          shard.blocks[b].data = nullptr;
-        }
-        if (shard.spill_fd >= 0)
-        {
-          ::close(shard.spill_fd);
-          shard.spill_fd = -1;
-        }
-      }
     }
 
     StoreOptions options_;

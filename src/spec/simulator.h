@@ -10,15 +10,16 @@
 // (bench/sim_weighting).
 //
 // One engine, one entry point: Simulator::run() (and the free function
-// simulate()) dispatch on SimOptions::threads:
-//   * threads = 1 runs the single-threaded walk loop; per-seed walks are
-//     bit-reproducible.
-//   * threads != 1 fans independent seeded walks across a WorkerPool —
-//     worker w runs a private child simulator with seed = base_seed + w,
-//     results merged at the end (counts summed, coverage maps merged,
-//     per-worker fingerprint sets unioned so distinct_states measures
-//     *joint* coverage). A violation in any worker raises a shared stop
-//     flag; the lowest-indexed violating worker's counterexample wins.
+// simulate()) fans independent seeded walks across a WorkerPool of
+// SimOptions::threads workers. Worker w runs the one walk loop with seed
+// = base_seed + w and its share of max_behaviors; one worker is that loop
+// run inline with w = 0, so per-seed walks are bit-reproducible. Results
+// are merged at the end (counts summed, coverage maps merged, per-worker
+// fingerprint sets unioned so distinct_states measures *joint*
+// coverage). A violation in any worker raises a shared stop flag; the
+// lowest-indexed violating worker's counterexample wins. Each run()
+// starts from fresh generators and Q tables, so repeating it repeats the
+// run.
 //
 // Campaign mode (campaign.h): attach_store() admits every visited state
 // into a shared ShardedStateStore (tagged with the simulator's EngineId),
@@ -29,7 +30,7 @@
 #pragma once
 
 #include <atomic>
-#include <map>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -74,13 +75,6 @@ namespace scv::spec
     /// Bounds each walk rather than the whole run.
     uint64_t max_depth = 50;
     WeightingMode mode = WeightingMode::Static;
-    /// Track the set of distinct fingerprints visited (costs memory).
-    bool track_distinct = true;
-
-    // Q-learning hyperparameters.
-    double q_alpha = 0.3; // learning rate
-    double q_gamma = 0.7; // discount
-    double q_epsilon = 0.1; // exploration probability
 
     /// The exploration-core budget: work counter = behaviors started.
     [[nodiscard]] Budget::Caps budget_caps() const
@@ -99,8 +93,8 @@ namespace scv::spec
 
     std::optional<Counterexample<S>> counterexample;
     uint64_t behaviors = 0;
-    /// The visited fingerprint set (when track_distinct); the fan-out path
-    /// unions these across workers to measure joint coverage.
+    /// The visited fingerprint set, unioned across workers to measure
+    /// joint coverage.
     std::unordered_set<uint64_t> distinct_fingerprints;
   };
 
@@ -111,15 +105,14 @@ namespace scv::spec
     Simulator(const SpecDef<S>& spec, SimOptions options = {}) :
       spec_(spec),
       options_(options),
-      rng_(options.seed),
       expander_(&spec_)
     {
       expander_.enable_symmetry(options_.symmetry);
     }
 
     /// Optional per-state observer for domain-specific coverage metrics.
-    /// On the fan-out path calls are serialized on an internal mutex, so
-    /// the callback itself need not be thread-safe.
+    /// Calls are serialized on an internal mutex, so the callback itself
+    /// need not be thread-safe.
     void set_observer(std::function<void(const S&)> observer)
     {
       observer_ = std::move(observer);
@@ -128,19 +121,11 @@ namespace scv::spec
     /// Q-learning state-feature hash H: maps a state to the bucket whose
     /// action values are learned. Defaults to the full fingerprint; the
     /// paper's difficulty was exactly choosing a coarser H that
-    /// generalizes (§4). Forwarded to every fan-out worker (each worker
-    /// learns its own Q table); must be a pure function of the state.
+    /// generalizes (§4). Shared by every worker (each worker learns its
+    /// own Q table); must be a pure function of the state.
     void set_q_features(std::function<uint64_t(const S&)> features)
     {
       q_features_ = std::move(features);
-    }
-
-    /// Optional cooperative stop: when the flag becomes true the run winds
-    /// down as if the time budget expired. The fan-out path uses this to
-    /// halt sibling workers once one of them finds a violation.
-    void set_stop_flag(const std::atomic<bool>* stop)
-    {
-      external_stop_ = stop;
     }
 
     /// Campaign mode: admit every visited state into `store` (shared with
@@ -163,39 +148,110 @@ namespace scv::spec
       seeds_ = std::move(seeds);
     }
 
-    /// Unified entry point: dispatches on SimOptions::threads (see
-    /// docs/SPEC.md "threads semantics").
+    /// Unified entry point: SimOptions::threads sets the worker count
+    /// (see docs/SPEC.md "threads semantics").
     SimResult<S> run()
     {
-      if (resolve_worker_count(options_.threads) == 1)
+      const WorkerPool pool(options_.threads);
+      const unsigned workers = pool.size();
+
+      // Workers apply their own share of the caps; this one only times the
+      // merged run.
+      const Budget budget(options_.budget_caps());
+      std::atomic<bool> stop{false};
+      std::vector<SimResult<S>> results(workers);
+
+      pool.run([&](unsigned w) {
+        results[w] = walk(w, workers, stop);
+        if (!results[w].ok)
+        {
+          stop.store(true, std::memory_order_release);
+        }
+      });
+
+      SimResult<S> merged;
+      uint64_t fresh = 0;
+      for (SimResult<S>& r : results)
       {
-        return run_single();
+        merged.behaviors += r.behaviors;
+        fresh += r.stats.distinct_states;
+        merged.stats.absorb_counts(r.stats);
+        if (!r.ok && merged.ok)
+        {
+          merged.ok = false;
+          merged.counterexample = std::move(r.counterexample);
+        }
+        merged.distinct_fingerprints.merge(r.distinct_fingerprints);
       }
-      return run_fanout();
+      // A shared store dedups across workers globally, so summing the
+      // workers' first-discovery counts is exact; otherwise joint coverage
+      // is the unioned fingerprint set.
+      merged.stats.distinct_states =
+        store_ != nullptr ? fresh : merged.distinct_fingerprints.size();
+      merged.stats.seconds = budget.elapsed();
+      if (budget.caps().time_budget_seconds < 1e17)
+      {
+        merged.stats.budget_seconds = budget.caps().time_budget_seconds;
+      }
+      merged.stats.canonicalized_states = expander_.canonicalized_count();
+      merged.stats.symmetry_hits = expander_.symmetry_hit_count();
+      if (store_ != nullptr)
+      {
+        merged.stats.store_bytes = store_->store_bytes();
+        merged.stats.spilled_bytes = store_->spilled_bytes();
+        merged.stats.rehash_count = store_->rehash_count();
+      }
+      merged.stats.complete = false;
+      return merged;
     }
 
   private:
     using Store = ShardedStateStore<S>;
     using Id = typename Store::Id;
+    using QTable = std::unordered_map<uint64_t, double>;
 
-    SimResult<S> run_single()
+    // Q-learning hyperparameters.
+    static constexpr double q_learning_rate = 0.3;
+    static constexpr double q_discount = 0.7;
+    static constexpr double q_explore_probability = 0.1;
+
+    /// Worker w's walks: seed base + w, its share of max_behaviors. The
+    /// result carries this worker's counts; stats.distinct_states counts
+    /// its first discoveries in the attached store (run() settles the
+    /// storeless count from the fingerprint union).
+    SimResult<S> walk(
+      unsigned w, unsigned workers, const std::atomic<bool>& stop)
     {
-      // Time (or the external stop flag) exhausts a behavior mid-walk; the
+      // Time (or the shared stop flag) exhausts a behavior mid-walk; the
       // behavior cap only stops *starting* new walks.
-      Budget budget(options_.budget_caps());
-      budget.set_stop_flag(external_stop_);
+      Budget budget(options_.make_caps(
+        behaviors_share(workers, w), options_.max_depth));
+      budget.set_stop_flag(&stop);
+      Rng rng(options_.seed + w);
+      QTable q;
       SimResult<S> result;
-      std::unordered_set<uint64_t> distinct;
-      // First discoveries by this run when a shared store is attached.
-      uint64_t fresh = 0;
-      const std::vector<S>& starts =
-        seeds_.empty() ? spec_.init : seeds_;
+      const std::vector<S>& starts = seeds_.empty() ? spec_.init : seeds_;
+
+      const auto admit = [&](const S& state, Id parent, uint32_t action,
+                             uint32_t depth) {
+        const auto ins =
+          expander_.admit(*store_, state, parent, action, depth);
+        result.stats.distinct_states += ins.inserted ? 1 : 0;
+        // The walk keeps its own copy of every state and builds
+        // counterexamples engine-side, so a fingerprint-only store can
+        // retire the body immediately (a no-op in full mode).
+        if (ins.inserted)
+        {
+          store_->drop_body(ins.id);
+        }
+        return ins.id;
+      };
 
       while (!budget.exhausted(result.behaviors))
       {
         result.behaviors++;
         // Pick a walk start uniformly.
-        S current = starts[rng_.below(starts.size())];
+        S current = starts[rng.below(starts.size())];
         if (!seeds_.empty())
         {
           result.stats.seeded_states++;
@@ -203,22 +259,12 @@ namespace scv::spec
         Id cur_id = Store::no_parent;
         if (store_ != nullptr)
         {
-          const auto ins = expander_.admit(
-            *store_, current, Store::no_parent, Store::init_action, 0);
-          fresh += ins.inserted ? 1 : 0;
-          cur_id = ins.id;
-          // The walk keeps its own copy of every state and builds
-          // counterexamples engine-side, so a fingerprint-only store can
-          // retire the body immediately.
-          if (ins.inserted && store_->fingerprint_only())
-          {
-            store_->drop_body(ins.id);
-          }
+          cur_id = admit(current, Store::no_parent, Store::init_action, 0);
         }
-        note_state(current, distinct, result);
+        note_state(current, result);
 
-        std::vector<TraceStep<S>> walk;
-        walk.push_back({"<init>", current});
+        std::vector<TraceStep<S>> steps;
+        steps.push_back({"<init>", current});
 
         for (uint64_t depth = 0; !budget.depth_exceeded(depth); ++depth)
         {
@@ -246,13 +292,13 @@ namespace scv::spec
             break; // deadlock
           }
           const uint64_t bucket = q_bucket(current);
-          const auto picked = pick_action(options_.mode, enabled, bucket);
+          const auto picked = pick_action(enabled, bucket, rng, q);
           if (!picked.has_value())
           {
             break; // all enabled actions have zero weight
           }
           const size_t a = *picked;
-          const S next = successors[a][rng_.below(successors[a].size())];
+          const S next = successors[a][rng.below(successors[a].size())];
           result.stats.transitions++;
           result.stats.action_coverage[spec_.actions[a].name]++;
 
@@ -263,19 +309,17 @@ namespace scv::spec
             // lookup matches (canonical when symmetry is on).
             const uint64_t next_fp = expander_.fingerprint_of(next);
             const double reward =
-              options_.track_distinct && distinct.contains(next_fp) ? 0.0 :
-                                                                      1.0;
+              result.distinct_fingerprints.contains(next_fp) ? 0.0 : 1.0;
             const uint64_t next_bucket =
               q_features_ ? q_features_(next) : next_fp;
             double best_next = 0.0;
             for (size_t a2 = 0; a2 < spec_.actions.size(); ++a2)
             {
-              best_next = std::max(best_next, q_value(next_bucket, a2));
+              best_next = std::max(best_next, q_value(q, next_bucket, a2));
             }
-            const double old = q_value(bucket, a);
-            q_[q_key(bucket, a)] = old +
-              options_.q_alpha *
-                (reward + options_.q_gamma * best_next - old);
+            const double old = q_value(q, bucket, a);
+            q[q_key(bucket, a)] =
+              old + q_learning_rate * (reward + q_discount * best_next - old);
           }
 
           for (const auto& prop : spec_.action_properties)
@@ -283,10 +327,9 @@ namespace scv::spec
             if (!prop.check(current, next))
             {
               result.ok = false;
-              result.counterexample = make_cex(walk, prop.name);
+              result.counterexample = make_cex(steps, prop.name);
               result.counterexample->steps.push_back(
                 {spec_.actions[a].name, next});
-              finish(result, budget, distinct, fresh);
               return result;
             }
           }
@@ -294,21 +337,14 @@ namespace scv::spec
           current = next;
           if (store_ != nullptr)
           {
-            const auto ins = expander_.admit(
-              *store_,
+            cur_id = admit(
               current,
               cur_id,
               static_cast<uint32_t>(a),
               static_cast<uint32_t>(depth + 1));
-            fresh += ins.inserted ? 1 : 0;
-            cur_id = ins.id;
-            if (ins.inserted && store_->fingerprint_only())
-            {
-              store_->drop_body(ins.id);
-            }
           }
-          walk.push_back({spec_.actions[a].name, current});
-          note_state(current, distinct, result);
+          steps.push_back({spec_.actions[a].name, current});
+          note_state(current, result);
           result.stats.max_depth =
             std::max<uint64_t>(result.stats.max_depth, depth + 1);
 
@@ -317,8 +353,7 @@ namespace scv::spec
             if (!inv.check(current))
             {
               result.ok = false;
-              result.counterexample = make_cex(walk, inv.name);
-              finish(result, budget, distinct, fresh);
+              result.counterexample = make_cex(steps, inv.name);
               return result;
             }
           }
@@ -328,105 +363,19 @@ namespace scv::spec
           }
         }
       }
-
-      finish(result, budget, distinct, fresh);
       return result;
-    }
-
-    // ---- threads != 1: independent seeded walks across a WorkerPool ----
-
-    SimResult<S> run_fanout()
-    {
-      const WorkerPool pool(options_.threads);
-      const unsigned threads = pool.size();
-
-      // Workers apply their own (shared-caps) budgets; this one only
-      // times the merged run.
-      const Budget budget(options_.budget_caps());
-      std::atomic<bool> stop{false};
-      std::vector<SimResult<S>> results(threads);
-      std::mutex observer_mu;
-
-      const auto work = [&](unsigned w) {
-        SimOptions options = options_;
-        options.seed = options_.seed + w;
-        options.max_behaviors = behaviors_share(threads, w);
-        options.threads = 1; // children run the single-threaded loop
-        Simulator<S> sim(spec_, options);
-        sim.set_stop_flag(&stop);
-        if (store_ != nullptr)
-        {
-          sim.store_ = store_;
-          sim.expander_.set_origin(origin());
-        }
-        if (!seeds_.empty())
-        {
-          sim.set_walk_seeds(seeds_);
-        }
-        if (observer_)
-        {
-          sim.set_observer([this, &observer_mu](const S& s) {
-            std::lock_guard<std::mutex> lock(observer_mu);
-            observer_(s);
-          });
-        }
-        if (q_features_)
-        {
-          sim.set_q_features(q_features_);
-        }
-        results[w] = sim.run();
-        if (!results[w].ok)
-        {
-          stop.store(true, std::memory_order_release);
-        }
-      };
-
-      pool.run(work);
-
-      SimResult<S> merged;
-      uint64_t fresh = 0;
-      for (unsigned w = 0; w < threads; ++w)
-      {
-        SimResult<S>& r = results[w];
-        merged.behaviors += r.behaviors;
-        fresh += r.stats.distinct_states;
-        merged.stats.absorb_counts(r.stats);
-        if (!r.ok && merged.ok)
-        {
-          merged.ok = false;
-          merged.counterexample = std::move(r.counterexample);
-        }
-        merged.distinct_fingerprints.merge(r.distinct_fingerprints);
-      }
-      // A shared store dedups across workers globally, so summing the
-      // children's first-discovery counts is exact; otherwise joint
-      // coverage is the unioned fingerprint set.
-      merged.stats.distinct_states =
-        store_ != nullptr ? fresh : merged.distinct_fingerprints.size();
-      merged.stats.seconds = budget.elapsed();
-      if (budget.caps().time_budget_seconds < 1e17)
-      {
-        merged.stats.budget_seconds = budget.caps().time_budget_seconds;
-      }
-      merged.stats.complete = false;
-      return merged;
-    }
-
-    [[nodiscard]] uint8_t origin() const
-    {
-      return expander_.origin();
     }
 
     /// Splits options_.max_behaviors across workers (first workers take
     /// the remainder); an unlimited budget stays unlimited everywhere.
-    [[nodiscard]] uint64_t behaviors_share(unsigned threads, unsigned w) const
+    [[nodiscard]] uint64_t behaviors_share(unsigned workers, unsigned w) const
     {
       if (options_.max_behaviors == UINT64_MAX)
       {
         return UINT64_MAX;
       }
-      const uint64_t base = options_.max_behaviors / threads;
-      const uint64_t remainder = options_.max_behaviors % threads;
+      const uint64_t base = options_.max_behaviors / workers;
+      const uint64_t remainder = options_.max_behaviors % workers;
       return base + (w < remainder ? 1 : 0);
     }
 
@@ -440,19 +389,21 @@ namespace scv::spec
       return hash_combine(bucket, static_cast<uint64_t>(action) + 1);
     }
 
-    [[nodiscard]] double q_value(uint64_t bucket, size_t action) const
+    [[nodiscard]] static double q_value(
+      const QTable& q, uint64_t bucket, size_t action)
     {
-      const auto it = q_.find(q_key(bucket, action));
-      return it != q_.end() ? it->second : 0.0;
+      const auto it = q.find(q_key(bucket, action));
+      return it != q.end() ? it->second : 0.0;
     }
 
     std::optional<size_t> pick_action(
-      WeightingMode mode,
       const std::vector<bool>& enabled,
-      uint64_t bucket)
+      uint64_t bucket,
+      Rng& rng,
+      const QTable& q) const
     {
       std::vector<double> weights(enabled.size(), 0.0);
-      switch (mode)
+      switch (options_.mode)
       {
         case WeightingMode::Uniform:
           for (size_t a = 0; a < enabled.size(); ++a)
@@ -468,7 +419,7 @@ namespace scv::spec
           break;
         case WeightingMode::QLearning:
         {
-          if (rng_.chance(options_.q_epsilon))
+          if (rng.chance(q_explore_probability))
           {
             for (size_t a = 0; a < enabled.size(); ++a)
             {
@@ -483,13 +434,14 @@ namespace scv::spec
           {
             if (enabled[a])
             {
-              best = std::max(best, q_value(bucket, a));
+              best = std::max(best, q_value(q, bucket, a));
             }
           }
           for (size_t a = 0; a < enabled.size(); ++a)
           {
-            weights[a] =
-              enabled[a] && q_value(bucket, a) >= best - 1e-12 ? 1.0 : 0.0;
+            weights[a] = enabled[a] && q_value(q, bucket, a) >= best - 1e-12 ?
+              1.0 :
+              0.0;
           }
           break;
         }
@@ -503,74 +455,41 @@ namespace scv::spec
       {
         return std::nullopt;
       }
-      return rng_.weighted_pick(weights);
+      return rng.weighted_pick(weights);
     }
 
-    void note_state(
-      const S& state,
-      std::unordered_set<uint64_t>& distinct,
-      SimResult<S>& result)
+    void note_state(const S& state, SimResult<S>& result)
     {
-      (void)result;
-      if (options_.track_distinct)
-      {
-        // Canonical when symmetry is on, so distinct counts (and the
-        // cross-worker union) measure coverage modulo the orbit.
-        distinct.insert(expander_.fingerprint_of(state));
-      }
+      // Canonical when symmetry is on, so distinct counts (and the
+      // cross-worker union) measure coverage modulo the orbit.
+      result.distinct_fingerprints.insert(expander_.fingerprint_of(state));
       if (observer_)
       {
+        std::lock_guard<std::mutex> lock(observer_mu_);
         observer_(state);
       }
     }
 
     static Counterexample<S> make_cex(
-      const std::vector<TraceStep<S>>& walk, const std::string& property)
+      const std::vector<TraceStep<S>>& steps, const std::string& property)
     {
       Counterexample<S> cex;
       cex.property = property;
-      cex.steps = walk;
+      cex.steps = steps;
       return cex;
-    }
-
-    void finish(
-      SimResult<S>& result,
-      const Budget& budget,
-      std::unordered_set<uint64_t>& distinct,
-      uint64_t fresh)
-    {
-      result.stats.seconds = budget.elapsed();
-      if (budget.caps().time_budget_seconds < 1e17)
-      {
-        result.stats.budget_seconds = budget.caps().time_budget_seconds;
-      }
-      result.stats.distinct_states =
-        store_ != nullptr ? fresh : distinct.size();
-      result.stats.canonicalized_states = expander_.canonicalized_count();
-      result.stats.symmetry_hits = expander_.symmetry_hit_count();
-      if (store_ != nullptr)
-      {
-        result.stats.store_bytes = store_->store_bytes();
-        result.stats.spilled_bytes = store_->spilled_bytes();
-        result.stats.rehash_count = store_->rehash_count();
-      }
-      result.stats.complete = false;
-      result.distinct_fingerprints = std::move(distinct);
     }
 
     const SpecDef<S>& spec_;
     SimOptions options_;
-    Rng rng_;
     Expander<S> expander_;
     std::function<void(const S&)> observer_;
+    std::mutex observer_mu_;
     std::function<uint64_t(const S&)> q_features_;
-    std::unordered_map<uint64_t, double> q_;
-    const std::atomic<bool>* external_stop_ = nullptr;
     Store* store_ = nullptr;
     std::vector<S> seeds_;
   };
 
-  /// Entry point: dispatches on SimOptions::threads.
+  /// Entry point: SimOptions::threads sets the worker count.
   template <SpecState S>
   SimResult<S> simulate(const SpecDef<S>& spec, SimOptions options = {})
   {

@@ -109,14 +109,6 @@ namespace scv::spec
     // workers with a shared dead-end memo (first witness wins — same
     // verdict, possibly a different witness among equals at more than one
     // worker). See docs/SPEC.md "threads semantics".
-    /// BFS only: retain predecessor chains only for the live frontier
-    /// (ROADMAP "store-backed BFS memory"). The sharded store is cleared
-    /// after every line — it then holds one line's frontier instead of
-    /// every line's — and witness reconstruction walks refcounted per-item
-    /// parent chains, which free dead branches as the frontier moves on.
-    /// Verdict, frontier sizes, work counts, and the witness are unchanged;
-    /// memory on long chaotic traces is bounded by the live frontier.
-    bool prune_bfs_store = false;
     /// Cap on the candidate states kept for the deepest-line diagnostics
     /// (the DFS "unsatisfied breakpoint" view).
     size_t max_diagnostic_states = 8;
@@ -224,59 +216,13 @@ namespace scv::spec
 
     // ---- BFS: full-frontier search, parallel across each line ----
 
-    /// Node of a refcounted predecessor chain, used when prune_bfs_store
-    /// retires store records: each live frontier item keeps its own path
-    /// back to an initial state, shared prefixes are shared, and a dead
-    /// branch's suffix frees as soon as its last descendant leaves the
-    /// frontier.
-    struct PathNode
-    {
-      S state;
-      std::shared_ptr<PathNode> parent;
-    };
-
-    /// Releases a parent chain iteratively, stopping at the first node
-    /// someone else still references. A plain drop of the last reference
-    /// to a deep chain would run ~depth nested destructors (each node
-    /// holds the shared_ptr to its parent) and overflow the C stack on
-    /// ~100k-line traces.
-    template <class Node>
-    static void release_chain(std::shared_ptr<Node>&& node)
-    {
-      while (node != nullptr && node.use_count() == 1)
-      {
-        std::shared_ptr<Node> parent = std::move(node->parent);
-        node.reset();
-        node = std::move(parent);
-      }
-      node.reset();
-    }
-
     /// A frontier entry borrows its state: the body pointer insert()
-    /// returned (valid until the line barrier drops it), or under
-    /// prune_bfs_store — which clears the store every line — the state in
-    /// the item's own chain node.
+    /// returned, valid until the line barrier drops it.
     struct Item
     {
       const S* state;
       Id id;
-      /// Only populated under prune_bfs_store.
-      std::shared_ptr<PathNode> chain;
     };
-
-    /// The frontier item for a fresh admission whose predecessor's chain
-    /// is `parent` (null for initial states and outside prune mode).
-    [[nodiscard]] Item make_item(
-      const typename Store::InsertResult& ins,
-      const std::shared_ptr<PathNode>& parent) const
-    {
-      if (!options_.prune_bfs_store)
-      {
-        return {ins.body, ins.id, nullptr};
-      }
-      auto node = std::make_shared<PathNode>(PathNode{*ins.body, parent});
-      return {&node->state, ins.id, std::move(node)};
-    }
 
     struct Local
     {
@@ -311,14 +257,10 @@ namespace scv::spec
         if (ins.inserted)
         {
           cover(init, 0);
-          frontier.push_back(make_item(ins, nullptr));
+          frontier.push_back({ins.body, ins.id});
         }
       }
 
-      // Under prune_bfs_store the store is cleared per line; this
-      // accumulates the per-line counts so distinct_states still reports
-      // the whole run.
-      uint64_t pruned_distinct = 0;
       std::atomic<uint64_t> explored{0};
 
       for (size_t line = 0; line < lines_.size(); ++line)
@@ -334,13 +276,10 @@ namespace scv::spec
 
         result_.states_explored = explored.load(std::memory_order_relaxed);
         std::vector<Item> next;
-        for (Local& local : locals)
+        for (const Local& local : locals)
         {
           result_.stats.duplicate_states += local.duplicates;
-          next.insert(
-            next.end(),
-            std::make_move_iterator(local.next.begin()),
-            std::make_move_iterator(local.next.end()));
+          next.insert(next.end(), local.next.begin(), local.next.end());
         }
         result_.frontier_sizes.push_back(next.size());
 
@@ -356,32 +295,20 @@ namespace scv::spec
             result_.frontier_at_failure.push_back(*item.state);
           }
           result_.failed_line = lines_[line].description;
-          result_.stats.distinct_states = pruned_distinct + store.size();
+          result_.stats.distinct_states = store.size();
           snapshot_store();
-          release_frontier_chains(frontier);
-          release_frontier_chains(next);
           return;
         }
-        if (options_.prune_bfs_store)
+        // Line barrier (pool joined, store quiescent): the expanded line's
+        // states leave the frontier (a fingerprint-only store retires
+        // their bodies; full mode keeps them) and frozen arena blocks may
+        // spill. The new frontier's bodies stay live — the witness replay
+        // disambiguates against the final frontier.
+        for (const Item& item : frontier)
         {
-          // The dead lines' records have served their dedup purpose;
-          // retire them. Surviving paths live on in the items' chains.
-          pruned_distinct += store.size();
-          store.clear();
-          release_frontier_chains(frontier);
+          store.drop_body(item.id);
         }
-        else if (store.fingerprint_only())
-        {
-          // Line barrier (pool joined, store quiescent): the expanded
-          // line's states leave the frontier; frozen arena blocks may
-          // spill. The new frontier's bodies stay live — the witness
-          // replay disambiguates against the final frontier.
-          for (const Item& item : frontier)
-          {
-            store.drop_body(item.id);
-          }
-          store.maybe_spill();
-        }
+        store.maybe_spill();
         frontier = std::move(next);
       }
 
@@ -391,56 +318,27 @@ namespace scv::spec
       {
         // The witness behavior: predecessor links from the first surviving
         // candidate back to its initial state (pool joined — record() is
-        // safe again). Pruned runs walk the item's own chain instead of
-        // the retired store records; both paths are first-inserter-wins,
-        // so threads = 1 yields the identical witness either way.
-        if (options_.prune_bfs_store)
+        // safe again). Full mode reads the chain's bodies directly; a
+        // fingerprint-only store replays the recorded line chain from the
+        // initial states through the same fault-composed expansion,
+        // disambiguated by the surviving candidate itself (its body never
+        // left the frontier).
+        auto path = store.reconstruct_path(
+          frontier.front().id,
+          init_,
+          [&](const S& s, uint32_t action, uint32_t, const Emit<S>& emit) {
+            expander_.with_faults(s, [&](const S& pre) {
+              lines_[action].expand(pre, emit);
+            });
+          },
+          frontier.front().state);
+        if (path.has_value())
         {
-          std::vector<S> reversed;
-          for (const PathNode* node = frontier.front().chain.get();
-               node != nullptr;
-               node = node->parent.get())
-          {
-            reversed.push_back(node->state);
-          }
-          result_.witness.assign(reversed.rbegin(), reversed.rend());
-        }
-        else
-        {
-          // Full mode reads the chain's bodies directly (bit-identical
-          // to the historical walk); a fingerprint-only store replays
-          // the recorded line chain from the initial states through the
-          // same fault-composed expansion, disambiguated by the
-          // surviving candidate itself (its body never left the
-          // frontier).
-          auto path = store.reconstruct_path(
-            frontier.front().id,
-            init_,
-            [&](
-              const S& s, uint32_t action, uint32_t, const Emit<S>& emit) {
-              expander_.with_faults(s, [&](const S& pre) {
-                lines_[action].expand(pre, emit);
-              });
-            },
-            frontier.front().state);
-          if (path.has_value())
-          {
-            result_.witness = std::move(*path);
-          }
+          result_.witness = std::move(*path);
         }
       }
-      result_.stats.distinct_states = pruned_distinct + store.size();
+      result_.stats.distinct_states = store.size();
       snapshot_store();
-      release_frontier_chains(frontier);
-    }
-
-    /// Drops every item's chain without recursing down shared suffixes.
-    void release_frontier_chains(std::vector<Item>& items)
-    {
-      for (Item& item : items)
-      {
-        release_chain(std::move(item.chain));
-      }
     }
 
     void expand_line_worker(
@@ -477,7 +375,7 @@ namespace scv::spec
             if (ins.inserted)
             {
               cover(succ, line + 1);
-              local.next.push_back(make_item(ins, item.chain));
+              local.next.push_back({ins.body, ins.id});
             }
             else
             {
@@ -520,6 +418,22 @@ namespace scv::spec
       std::atomic<size_t> pending{0};
     };
     using TaskPtr = std::shared_ptr<Task>;
+
+    /// Releases a parent chain iteratively, stopping at the first node
+    /// someone else still references. A plain drop of the last reference
+    /// to a deep chain would run ~depth nested destructors (each node
+    /// holds the shared_ptr to its parent) and overflow the C stack on
+    /// ~100k-line traces.
+    static void release_chain(TaskPtr&& node)
+    {
+      while (node != nullptr && node.use_count() == 1)
+      {
+        TaskPtr parent = std::move(node->parent);
+        node.reset();
+        node = std::move(parent);
+      }
+      node.reset();
+    }
 
     struct DfsShared
     {

@@ -678,65 +678,14 @@ TEST(ParallelDfs, HandlesVeryDeepTraces)
   EXPECT_EQ(r.witness.back().value, depth);
 }
 
-// ---- BFS frontier pruning (store-backed memory mode) ----
-
-TEST(BfsFrontierPruning, VerdictAndWitnessUnchangedOnValidTrace)
-{
-  std::vector<TraceLineExpander<CounterState>> lines;
-  for (int i = 0; i < 10; ++i)
-  {
-    lines.push_back(fuzzy_line(i));
-  }
-  ValidationOptions options;
-  options.mode = SearchMode::Bfs;
-  TraceValidator<CounterState> plain({CounterState{0}}, lines, options);
-  const auto a = plain.run();
-  options.prune_bfs_store = true;
-  TraceValidator<CounterState> pruned({CounterState{0}}, lines, options);
-  const auto b = pruned.run();
-
-  ASSERT_TRUE(a.ok);
-  ASSERT_TRUE(b.ok);
-  EXPECT_EQ(a.frontier_sizes, b.frontier_sizes);
-  EXPECT_EQ(a.states_explored, b.states_explored);
-  EXPECT_EQ(a.stats.distinct_states, b.stats.distinct_states);
-  // The final line's chain is retained, so the witness is still the full
-  // reconstructed behavior — and at threads=1, the identical one.
-  EXPECT_EQ(a.witness, b.witness);
-}
-
-TEST(BfsFrontierPruning, MatchesPlainBfsOnInvalidTraceAndInParallel)
-{
-  std::vector<TraceLineExpander<CounterState>> lines;
-  for (int i = 0; i < 6; ++i)
-  {
-    lines.push_back(fuzzy_line(i));
-  }
-  lines.push_back(impossible_line());
-  for (const unsigned threads : {1u, 4u})
-  {
-    ValidationOptions options;
-    options.mode = SearchMode::Bfs;
-    options.threads = threads;
-    TraceValidator<CounterState> plain({CounterState{0}}, lines, options);
-    const auto a = plain.run();
-    options.prune_bfs_store = true;
-    TraceValidator<CounterState> pruned({CounterState{0}}, lines, options);
-    const auto b = pruned.run();
-    EXPECT_FALSE(b.ok);
-    EXPECT_EQ(a.lines_matched, b.lines_matched);
-    EXPECT_EQ(a.failed_line, b.failed_line);
-    EXPECT_EQ(a.frontier_sizes, b.frontier_sizes);
-    EXPECT_EQ(a.frontier_at_failure.size(), b.frontier_at_failure.size());
-    EXPECT_EQ(a.stats.distinct_states, b.stats.distinct_states);
-  }
-}
+// ---- BFS frontier pruning: a fingerprint-only store drops each line's
+// bodies at the barrier and replays the witness ----
 
 TEST(BfsFrontierPruning, DeepTraceWitnessSurvivesPruning)
 {
-  // A deep linear trace: pruning keeps only the live frontier's chain,
-  // and the witness is still the whole behavior at the end — torn down
-  // iteratively (no destructor recursion) despite its depth.
+  // A deep linear trace: the store keeps 16-byte records for every line
+  // but bodies only for the live frontier, and the witness is still the
+  // whole behavior at the end — replayed from the recorded line chain.
   constexpr int depth = 50'000;
   std::vector<TraceLineExpander<CounterState>> lines;
   lines.reserve(depth);
@@ -746,7 +695,7 @@ TEST(BfsFrontierPruning, DeepTraceWitnessSurvivesPruning)
   }
   ValidationOptions options;
   options.mode = SearchMode::Bfs;
-  options.prune_bfs_store = true;
+  options.store.mode = StoreMode::fingerprint_only;
   TraceValidator<CounterState> v({CounterState{0}}, lines, options);
   const auto r = v.run();
   ASSERT_TRUE(r.ok);

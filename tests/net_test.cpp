@@ -1,5 +1,5 @@
-// Unit tests for the simulated network: multiset semantics, delivery
-// orders, partitions (including asymmetric ones), loss, duplication,
+// Unit tests for the simulated network: multiset semantics, unordered
+// delivery, partitions (including asymmetric ones), loss, duplication,
 // latency, and determinism under a fixed seed.
 #include <gtest/gtest.h>
 
@@ -125,37 +125,11 @@ TEST(SimNetwork, DuplicationCreatesExtraCopy)
 
 TEST(SimNetwork, LatencyDelaysDelivery)
 {
-  Net net(DeliveryOrder::Unordered, 5, 5);
+  Net net(5, 5);
   Rng rng(1);
   ASSERT_TRUE(net.send(1, 2, "m", 10, rng).has_value());
   EXPECT_FALSE(net.deliver_one(14, rng).has_value());
   EXPECT_TRUE(net.deliver_one(15, rng).has_value());
-}
-
-TEST(SimNetwork, PerLinkFifoPreservesOrder)
-{
-  Net net(DeliveryOrder::PerLinkFifo);
-  Rng rng(5);
-  for (int i = 0; i < 10; ++i)
-  {
-    ASSERT_TRUE(net.send(1, 2, "m" + std::to_string(i), 0, rng).has_value());
-  }
-  for (int i = 0; i < 10; ++i)
-  {
-    const auto env = net.deliver_one(0, rng);
-    ASSERT_TRUE(env.has_value());
-    EXPECT_EQ(env->payload, "m" + std::to_string(i));
-  }
-}
-
-TEST(SimNetwork, FifoIsPerLinkNotGlobal)
-{
-  Net net(DeliveryOrder::PerLinkFifo);
-  Rng rng(5);
-  ASSERT_TRUE(net.send(1, 2, "a1", 0, rng).has_value());
-  ASSERT_TRUE(net.send(3, 2, "b1", 0, rng).has_value());
-  // Both link heads are deliverable simultaneously.
-  EXPECT_EQ(net.deliverable(0).size(), 2u);
 }
 
 TEST(SimNetwork, UnorderedCanReorder)

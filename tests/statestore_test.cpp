@@ -160,22 +160,6 @@ TEST(FlatFpTable, GrowthRehashPreservesEntries)
   }
 }
 
-TEST(FlatFpTable, ClearEmptiesWithoutShrinking)
-{
-  FlatFpTable table;
-  for (uint64_t i = 0; i < 100; ++i)
-  {
-    table.insert(i + 1, static_cast<uint32_t>(i));
-  }
-  const size_t cap = table.capacity();
-  table.clear();
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_EQ(table.capacity(), cap);
-  EXPECT_FALSE(table.contains(1));
-  table.insert(1, 0);
-  EXPECT_TRUE(table.contains(1));
-}
-
 // ---- StripedKeySet on the flat tables ----
 
 TEST(StripedKeySet, ConcurrentInsertDedups)
@@ -866,43 +850,6 @@ TEST(Spill, RoundTripPreservesRecordsByteForByte)
   EXPECT_GT(store.spilled_bytes(), 2u * 1024 * 1024);
   check_all("post-growth");
   EXPECT_EQ(store.size(), n + 70000u);
-
-  ::rmdir(options.spill_dir.c_str());
-}
-
-TEST(Spill, ClearReleasesSpillAndStoreIsReusable)
-{
-  using Store = ShardedStateStore<CounterState>;
-  StoreOptions options = fp_only();
-  options.spill_dir = make_spill_dir();
-  Store store(1, options);
-
-  Store::Id prev = Store::no_parent;
-  for (uint32_t i = 0; i < 70000; ++i)
-  {
-    const CounterState s{static_cast<int>(i)};
-    prev = store
-             .insert(
-               s,
-               static_cast<uint64_t>(i) + 1,
-               prev,
-               i == 0 ? Store::init_action : 0,
-               i)
-             .id;
-  }
-  store.maybe_spill();
-  ASSERT_GT(store.spilled_bytes(), 0u);
-
-  store.clear();
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.spilled_bytes(), 0u);
-  EXPECT_EQ(store.store_bytes(), 0u);
-
-  const CounterState s{1};
-  const auto ins =
-    store.insert(s, fingerprint(s), Store::no_parent, Store::init_action, 0);
-  EXPECT_TRUE(ins.inserted);
-  EXPECT_EQ(store.record(ins.id).state(), s);
 
   ::rmdir(options.spill_dir.c_str());
 }

@@ -343,41 +343,6 @@ TEST(TraceValidation, ParallelDfsStopsCleanlyAtBudget)
   EXPECT_LT(r.lines_matched, preprocess(c.trace()).size());
 }
 
-TEST(TraceValidation, PrunedBfsMatchesPlainBfsOnConsensusTrace)
-{
-  // Store-backed BFS memory: with per-line frontier pruning the verdict,
-  // per-line frontier sizes and the reconstructed witness are unchanged.
-  Cluster c(three_nodes(113));
-  c.submit("x");
-  c.sign();
-  for (int i = 0; i < 25; ++i)
-  {
-    c.tick_all();
-    c.drain();
-  }
-  const auto p = params_for(three_nodes(113), 3);
-
-  ConsensusValidationOptions bfs;
-  bfs.search.mode = spec::SearchMode::Bfs;
-  const auto plain = validate_consensus_trace(c.trace(), p, bfs);
-  bfs.search.prune_bfs_store = true;
-  const auto pruned = validate_consensus_trace(c.trace(), p, bfs);
-
-  ASSERT_TRUE(plain.ok) << diagnose(plain);
-  ASSERT_TRUE(pruned.ok) << diagnose(pruned);
-  EXPECT_EQ(plain.frontier_sizes, pruned.frontier_sizes);
-  EXPECT_EQ(plain.states_explored, pruned.states_explored);
-  EXPECT_EQ(plain.stats.distinct_states, pruned.stats.distinct_states);
-  ASSERT_EQ(plain.witness.size(), pruned.witness.size());
-  for (size_t i = 0; i < plain.witness.size(); ++i)
-  {
-    EXPECT_EQ(
-      spec::fingerprint(plain.witness[i]),
-      spec::fingerprint(pruned.witness[i]))
-      << "witness diverges at step " << i;
-  }
-}
-
 TEST(TraceValidation, CorruptedCommitIndexRejected)
 {
   Cluster c(three_nodes(115));
