@@ -1,13 +1,16 @@
 // Google-benchmark micro benchmarks for the substrates: hashing, Merkle
-// tree maintenance, message serialization, the simulated network, the KV
-// store, single-node protocol steps, and spec-state fingerprinting. These
-// quantify the cost of the building blocks the verification workloads
-// (Table 1) are made of.
+// tree maintenance and proofs at ledger scale (10^5 leaves), session status
+// polls with 10^4 transactions outstanding, message serialization, the
+// simulated network, the KV store, single-node protocol steps, and
+// spec-state fingerprinting. These quantify the cost of the building
+// blocks the verification workloads (Table 1) are made of.
 #include <benchmark/benchmark.h>
 
 #include "consensus/raft_node.h"
 #include "crypto/merkle_tree.h"
 #include "crypto/sha256.h"
+#include "driver/cluster.h"
+#include "driver/session.h"
 #include "kv/store.h"
 #include "net/sim_network.h"
 #include "spec/expander.h"
@@ -47,19 +50,68 @@ static void BM_MerkleAppend(benchmark::State& state)
 }
 BENCHMARK(BM_MerkleAppend)->Arg(16)->Arg(256);
 
-static void BM_MerkleProof(benchmark::State& state)
+static crypto::MerkleTree merkle_tree_of(int64_t leaves)
 {
   crypto::MerkleTree tree;
-  for (int i = 0; i < 256; ++i)
+  for (int64_t i = 0; i < leaves; ++i)
   {
     tree.append(crypto::sha256("leaf" + std::to_string(i)));
   }
+  return tree;
+}
+
+// Signature cost at ledger scale: the root a leader signs. Sizes are not
+// powers of two, so the root folds several cached peaks.
+static void BM_MerkleRoot(benchmark::State& state)
+{
+  const auto tree = merkle_tree_of(state.range(0));
   for (auto _ : state)
   {
-    benchmark::DoNotOptimize(tree.path(128));
+    benchmark::DoNotOptimize(tree.root());
   }
 }
-BENCHMARK(BM_MerkleProof);
+BENCHMARK(BM_MerkleRoot)->Arg(1000)->Arg(100000)->Arg(100003);
+
+static void BM_MerkleProof(benchmark::State& state)
+{
+  const auto tree = merkle_tree_of(state.range(0));
+  size_t index = 0;
+  for (auto _ : state)
+  {
+    benchmark::DoNotOptimize(tree.path(index));
+    index = (index + 7919) % tree.size();
+  }
+}
+BENCHMARK(BM_MerkleProof)->Arg(256)->Arg(100000)->Arg(100003);
+
+// Status polls with 10^4 answered, uncommitted transactions outstanding:
+// the per-tick acknowledgement loop of the load harness.
+static void BM_SessionPoll(benchmark::State& state)
+{
+  driver::ClusterOptions options;
+  options.initial_config = {1, 2, 3};
+  options.initial_leader = 1;
+  driver::Cluster cluster(options);
+  driver::Session session(cluster);
+  std::vector<uint64_t> seqs;
+  for (int64_t i = 0; i < state.range(0); ++i)
+  {
+    const auto seq = session.submit_rw("p" + std::to_string(i));
+    if (!seq)
+    {
+      state.SkipWithError("submit refused");
+      return;
+    }
+    seqs.push_back(*seq);
+  }
+  size_t k = 0;
+  for (auto _ : state)
+  {
+    benchmark::DoNotOptimize(session.poll(seqs[k]));
+    k = (k + 7919) % seqs.size();
+  }
+}
+BENCHMARK(BM_SessionPoll)->Arg(10000);
 
 static void BM_MessageSerialize(benchmark::State& state)
 {

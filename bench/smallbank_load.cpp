@@ -4,6 +4,7 @@
 //
 //   ./smallbank_load [--seed=N] [--threads=T] [--ticks=N] [--period=N]
 //                    [--accounts=N] [--batch=N] [--determinism]
+//   ./smallbank_load --scaling [--seed=N] [--ticks=N] ...
 //
 // Multi-threaded load is T independent deterministic cluster shards
 // (distinct seeds), one worker thread each — the repo's independent-walk
@@ -27,6 +28,15 @@
 //   * a small dedicated run's history validates against the consistency
 //     spec (verdict OK)
 //   * with --determinism: two identical runs produce identical results
+//
+// --scaling is a separate mode: one shard runs --ticks and 8x --ticks,
+// three times each, and the tool exits 1 when the median wall time per
+// committed transaction of the long run exceeds kMaxScalingRatio times
+// the base run's. Linear-cost serving gives a ratio near 1; the gate sits
+// at 3 rather than a tighter 1.5 because each history response event
+// carries its full `observed` list, which is O(n) by the history format,
+// so per-transaction cost still grows with run length.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -54,7 +64,14 @@ namespace
     uint64_t accounts = 50;
     uint64_t batch = 4;
     bool determinism = false;
+    bool scaling = false;
   };
+
+  /// --scaling: run-length multiple, repetitions, and the gate on the
+  /// ratio of median wall time per committed transaction.
+  constexpr uint64_t kScalingFactor = 8;
+  constexpr int kScalingRepeats = 3;
+  constexpr double kMaxScalingRatio = 3.0;
 
   LoadOptions options_for(const Args& args, uint64_t shard)
   {
@@ -70,6 +87,8 @@ namespace
   struct ShardOutcome
   {
     LoadResult result;
+    /// Wall time of the load run itself, post-run checks excluded.
+    double run_seconds = 0.0;
     bool checks_ok = true;
     std::string check_error;
   };
@@ -178,9 +197,63 @@ namespace
   {
     ShardOutcome out;
     LoadRunner runner(options_for(args, shard));
+    const Stopwatch watch;
     out.result = runner.run();
+    out.run_seconds = watch.seconds();
     check_shard(runner, out);
     return out;
+  }
+
+  double us_per_committed(double seconds, uint64_t committed)
+  {
+    return committed > 0 ? 1e6 * seconds / static_cast<double>(committed) :
+                           0.0;
+  }
+
+  /// --scaling: returns false when a run fails its checks or the cost per
+  /// committed transaction grows by more than kMaxScalingRatio.
+  bool run_scaling(const Args& args)
+  {
+    bool ok = true;
+    double medians[2] = {0.0, 0.0};
+    for (int which = 0; which < 2; ++which)
+    {
+      Args run_args = args;
+      run_args.ticks = which == 0 ? args.ticks : args.ticks * kScalingFactor;
+      std::vector<double> costs;
+      for (int r = 0; r < kScalingRepeats; ++r)
+      {
+        const ShardOutcome o = run_shard(run_args, 0);
+        if (!o.checks_ok)
+        {
+          ok = false;
+          std::printf("FAIL: %s\n", o.check_error.c_str());
+        }
+        costs.push_back(us_per_committed(o.run_seconds, o.result.committed));
+        std::printf(
+          "ticks=%llu run %d: %llu committed in %.6fs wall, %.3f us per "
+          "committed tx\n",
+          static_cast<unsigned long long>(run_args.ticks),
+          r + 1,
+          static_cast<unsigned long long>(o.result.committed),
+          o.run_seconds,
+          costs.back());
+      }
+      std::sort(costs.begin(), costs.end());
+      medians[which] = costs[costs.size() / 2];
+    }
+    const double ratio = medians[0] > 0 ? medians[1] / medians[0] : 0.0;
+    const bool within = medians[0] > 0 && ratio <= kMaxScalingRatio;
+    std::printf(
+      "scaling: %llux ticks costs %.2fx per committed tx (median %.3f -> "
+      "%.3f us; gate %.1fx): %s\n",
+      static_cast<unsigned long long>(kScalingFactor),
+      ratio,
+      medians[0],
+      medians[1],
+      kMaxScalingRatio,
+      within ? "OK" : "FAILED");
+    return ok && within;
   }
 }
 
@@ -218,6 +291,10 @@ int main(int argc, char** argv)
     {
       args.determinism = true;
     }
+    else if (std::strcmp(argv[i], "--scaling") == 0)
+    {
+      args.scaling = true;
+    }
     else
     {
       std::fprintf(
@@ -225,10 +302,20 @@ int main(int argc, char** argv)
         "unknown argument: %s\n"
         "usage: smallbank_load [--seed=N] [--threads=T] [--ticks=N] "
         "[--period=N]\n"
-        "                      [--accounts=N] [--batch=N] [--determinism]\n",
+        "                      [--accounts=N] [--batch=N] [--determinism]\n"
+        "       smallbank_load --scaling [--seed=N] [--ticks=N] ...\n"
+        "  --scaling runs one shard at --ticks and 8x --ticks, three times\n"
+        "  each, and exits 1 when the median wall time per committed tx\n"
+        "  grows more than 3x. Not 1.5x: every history response carries\n"
+        "  its full observed list, O(n) by the history format.\n",
         argv[i]);
       return 2;
     }
+  }
+
+  if (args.scaling)
+  {
+    return run_scaling(args) ? 0 : 1;
   }
 
   BenchReport out("smallbank");
@@ -285,12 +372,13 @@ int main(int argc, char** argv)
     const double per_s =
       seconds > 0 ? static_cast<double>(committed) / seconds : 0.0;
     std::printf(
-      "threads=%u: %llu committed (%llu executed) in %.2fs wall; "
-      "p50/p90/p99 = %llu/%llu/%llu ticks\n",
+      "threads=%u: %llu committed (%llu executed) in %.6fs wall "
+      "(%.3f us per committed tx); p50/p90/p99 = %llu/%llu/%llu ticks\n",
       threads,
       static_cast<unsigned long long>(committed),
       static_cast<unsigned long long>(executed),
       seconds,
+      us_per_committed(seconds, committed),
       static_cast<unsigned long long>(latency_percentile(latencies, 50)),
       static_cast<unsigned long long>(latency_percentile(latencies, 90)),
       static_cast<unsigned long long>(latency_percentile(latencies, 99)));

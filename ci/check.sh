@@ -127,6 +127,12 @@ echo "=== tsan nemesis snapshot smoke (seed 2027, validate-threads=4) ==="
 echo "=== release smallbank load smoke (seed 2026, determinism) ==="
 ./build-release/bench/smallbank_load --seed=2026 --threads=2 --ticks=400 \
   --determinism
+echo "=== release smallbank scaling gate (2000 vs 16000 ticks) ==="
+# Linear-time serving gate: one shard at 2000 and 16000 ticks, three runs
+# each; fails when the median wall time per committed transaction grows
+# more than 3x (a per-operation O(n) step on the serving path shows up as
+# a ratio near 8).
+./build-release/bench/smallbank_load --scaling --seed=2026 --ticks=2000
 echo "=== tsan smallbank load smoke (threads=4) ==="
 ./build-tsan/bench/smallbank_load --seed=2026 --threads=4 --ticks=200
 
@@ -166,7 +172,13 @@ done
 # BFS validator, whose frontier items always borrow store bodies (there is
 # no chain-node fallback), including the fingerprint-only 50k-line
 # witness. TSan (above, via ctest) covers the races; this covers the
-# memory.
+# memory. The serving-path suites run here too: the Merkle tree's cached
+# levels are indexed by n >> h and resized on truncate, and a session's
+# pending transactions index their response events in the history, so an
+# off-by-one in either is silent heap corruption in a normal build —
+# crypto_test (equivalence at every size to 1100, truncate + regrow),
+# receipt_test (prefix proofs), session_test (polls through a truncating
+# failover) and snapshot_test (the ledger's Data-index list).
 echo "=== configure build-asan (-DSCV_SANITIZE=address) ==="
 # -Wno-maybe-uninitialized: like the UBSan variant's stringop-overflow
 # exception below, GCC 12's analysis false-positives inside std::variant
@@ -174,11 +186,13 @@ echo "=== configure build-asan (-DSCV_SANITIZE=address) ==="
 # keep the diagnostic armed.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Release -DSCV_WERROR=ON \
   -DSCV_SANITIZE=address -DCMAKE_CXX_FLAGS=-Wno-maybe-uninitialized
-echo "=== build build-asan (store and BFS engine tests) ==="
+echo "=== build build-asan (store, BFS engine and serving-path tests) ==="
 cmake --build build-asan -j "${JOBS}" --target \
-  statestore_test parallel_spec_test symmetry_test exploration_core_test
+  statestore_test parallel_spec_test symmetry_test exploration_core_test \
+  crypto_test receipt_test session_test snapshot_test
 for t in statestore_test parallel_spec_test symmetry_test \
-  exploration_core_test; do
+  exploration_core_test crypto_test receipt_test session_test \
+  snapshot_test; do
   echo "--- ${t} (asan) ---"
   "./build-asan/tests/${t}"
 done

@@ -14,6 +14,12 @@
 // all remain exact. Entry *content* below the hole (payloads, configs,
 // signatures) is recoverable only from the covering Snapshot artifact.
 //
+// Data-index list: the ledger also keeps the ascending indices of its Data
+// (application) entries, maintained by append, truncate and from_snapshot
+// and untouched by compaction (type metadata survives it). Counting the
+// application transactions up to an index is a binary search over it, so
+// the serving path never rescans the log from index 1.
+//
 // Indices are 1-based; index 0 means "nothing".
 #pragma once
 
@@ -103,7 +109,14 @@ namespace scv::consensus
 
     /// Inclusion proof for the entry at idx against the current root.
     /// Valid below the hole too — proofs need only leaves.
-    [[nodiscard]] crypto::Path proof(Index idx) const;
+    [[nodiscard]] crypto::Path proof(Index idx) const
+    {
+      return proof(idx, last_index());
+    }
+
+    /// Inclusion proof for the entry at idx against the root over entries
+    /// [1, upto] — the root a signature at upto + 1 embeds.
+    [[nodiscard]] crypto::Path proof(Index idx, Index upto) const;
 
     /// Merkle leaf (entry digest) at idx; valid below the hole.
     [[nodiscard]] const crypto::Digest& leaf_digest(Index idx) const;
@@ -119,6 +132,15 @@ namespace scv::consensus
     {
       return meta_;
     }
+
+    /// Ascending indices of all Data entries, compacted prefix included.
+    [[nodiscard]] const std::vector<Index>& data_indices() const
+    {
+      return data_indices_;
+    }
+
+    /// Number of Data entries at or below idx (binary search).
+    [[nodiscard]] size_t data_count_upto(Index idx) const;
 
     /// Index of the last Signature entry at or before idx (0 if none).
     [[nodiscard]] Index last_signature_at_or_before(Index idx) const;
@@ -149,5 +171,6 @@ namespace scv::consensus
     std::vector<EntryMeta> meta_; // metadata for (0, start_index_]
     Index start_index_ = 0;
     crypto::MerkleTree tree_; // leaves for (0, last_index()]
+    std::vector<Index> data_indices_; // Data entries in (0, last_index()]
   };
 }

@@ -56,6 +56,8 @@ namespace scv::consensus
 
   /// Offline audit: for every signature transaction, recompute the Merkle
   /// root over all preceding entries and verify the signer's signature.
-  /// Detects any tampering with committed history.
+  /// Detects any tampering with committed history. The audit grows its own
+  /// tree from the ledger's leaves (O(n) per audit), so it never trusts
+  /// the ledger's cached tree levels.
   AuditReport audit_ledger(const Ledger& ledger);
 }

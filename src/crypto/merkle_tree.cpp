@@ -1,24 +1,12 @@
 #include "crypto/merkle_tree.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "util/check.h"
 
 namespace scv::crypto
 {
-  namespace
-  {
-    /// Largest power of two strictly less than n (n >= 2), per RFC 6962's
-    /// split rule, which keeps the tree shape canonical for any size.
-    size_t split_point(size_t n)
-    {
-      size_t k = 1;
-      while (k * 2 < n)
-      {
-        k *= 2;
-      }
-      return k;
-    }
-  }
-
   Digest MerkleTree::combine(const Digest& left, const Digest& right)
   {
     Sha256 h;
@@ -29,66 +17,93 @@ namespace scv::crypto
     return h.finalize();
   }
 
+  MerkleTree::MerkleTree(const std::vector<Digest>& leaves)
+  {
+    leaves_.reserve(leaves.size());
+    for (const auto& leaf : leaves)
+    {
+      append(leaf);
+    }
+  }
+
   size_t MerkleTree::append(const Digest& leaf)
   {
     leaves_.push_back(leaf);
+    // A node landing at an odd index completes its parent's perfect
+    // subtree; carry upward like a binary counter.
+    for (size_t h = 1; level(h - 1).size() % 2 == 0; ++h)
+    {
+      if (h > upper_.size())
+      {
+        upper_.emplace_back();
+      }
+      const auto& below = level(h - 1);
+      upper_[h - 1].push_back(combine(below[below.size() - 2], below.back()));
+    }
     return leaves_.size() - 1;
   }
 
-  Digest MerkleTree::subtree_root(size_t begin, size_t end) const
+  Digest MerkleTree::range_root(size_t begin, size_t end) const
   {
-    const size_t n = end - begin;
-    if (n == 1)
+    // Peaks of the range, one per set bit h of its length, each the
+    // digest ending at `end` on level h; fold them right to left.
+    const size_t m = end - begin;
+    size_t h = static_cast<size_t>(std::countr_zero(m));
+    Digest acc = level(h)[(end >> h) - 1];
+    for (++h; (m >> h) != 0; ++h)
     {
-      return leaves_[begin];
+      if (((m >> h) & 1) != 0)
+      {
+        acc = combine(level(h)[(end >> h) - 1], acc);
+      }
     }
-    const size_t k = split_point(n);
-    return combine(
-      subtree_root(begin, begin + k), subtree_root(begin + k, end));
+    return acc;
   }
 
   Digest MerkleTree::root() const
   {
-    if (leaves_.empty())
+    if (size() == 0)
     {
       return sha256("");
     }
-    return subtree_root(0, leaves_.size());
+    return range_root(0, size());
   }
 
-  void MerkleTree::collect_path(
-    size_t begin, size_t end, size_t index, Path& out) const
+  Path MerkleTree::path(size_t index, size_t prefix) const
   {
-    const size_t n = end - begin;
-    if (n == 1)
-    {
-      return;
-    }
-    const size_t k = split_point(n);
-    if (index < begin + k)
-    {
-      collect_path(begin, begin + k, index, out);
-      out.push_back({subtree_root(begin + k, end), false});
-    }
-    else
-    {
-      collect_path(begin + k, end, index, out);
-      out.push_back({subtree_root(begin, begin + k), true});
-    }
-  }
-
-  Path MerkleTree::path(size_t index) const
-  {
-    SCV_CHECK(index < leaves_.size());
+    SCV_CHECK(index < prefix && prefix <= size());
+    // Walk RFC 6962's recursion top-down over [0, prefix), recording the
+    // sibling at each split; the proof lists them bottom-up.
     Path out;
-    collect_path(0, leaves_.size(), index, out);
+    size_t begin = 0;
+    size_t end = prefix;
+    while (end - begin > 1)
+    {
+      // Largest power of two strictly less than the range length.
+      const size_t k = std::bit_floor(end - begin - 1);
+      if (index < begin + k)
+      {
+        out.push_back({range_root(begin + k, end), false});
+        end = begin + k;
+      }
+      else
+      {
+        out.push_back({range_root(begin, begin + k), true});
+        begin += k;
+      }
+    }
+    std::reverse(out.begin(), out.end());
     return out;
   }
 
   void MerkleTree::truncate(size_t new_size)
   {
-    SCV_CHECK(new_size <= leaves_.size());
+    SCV_CHECK(new_size <= size());
     leaves_.resize(new_size);
+    for (size_t h = 1; h <= upper_.size(); ++h)
+    {
+      upper_[h - 1].resize(new_size >> h);
+    }
   }
 
   bool MerkleTree::verify_path(

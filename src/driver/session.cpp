@@ -1,6 +1,7 @@
 #include "driver/session.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace scv::driver
 {
@@ -28,52 +29,46 @@ namespace scv::driver
     return "unknown";
   }
 
+  TxId Session::app_txid(const consensus::Ledger& ledger, size_t k)
+  {
+    // The ledger's Data-index list and term_at are exact below a
+    // compaction hole, so ids are identical whether the prefix was
+    // replayed or snapshotted away.
+    return TxId{
+      ledger.term_at(ledger.data_indices()[k]), static_cast<Index>(k + 1)};
+  }
+
   std::vector<TxId> Session::app_txids_upto(
     const consensus::RaftNode& node, Index upto)
   {
-    // term_at/type_at are exact below a compaction hole, so the id list
-    // is identical whether the prefix was replayed or snapshotted away.
-    std::vector<TxId> out;
     const auto& ledger = node.ledger();
-    for (Index i = 1; i <= upto && i <= ledger.last_index(); ++i)
+    const size_t count = ledger.data_count_upto(upto);
+    std::vector<TxId> out;
+    out.reserve(count);
+    for (size_t k = 0; k < count; ++k)
     {
-      if (ledger.type_at(i) == EntryType::Data)
-      {
-        out.push_back(
-          TxId{ledger.term_at(i), static_cast<Index>(out.size() + 1)});
-      }
+      out.push_back(app_txid(ledger, k));
     }
     return out;
   }
 
-  std::vector<TxId> Session::committed_app_txids(
-    const consensus::RaftNode& node)
+  const Session::Pending* Session::find(uint64_t client_seq) const
   {
-    return app_txids_upto(node, node.commit_index());
+    const auto it = std::lower_bound(
+      pending_.begin(),
+      pending_.end(),
+      client_seq,
+      [](const Pending& p, uint64_t seq) { return p.client_seq < seq; });
+    if (it == pending_.end() || it->client_seq != client_seq)
+    {
+      return nullptr;
+    }
+    return &*it;
   }
 
   Session::Pending* Session::find(uint64_t client_seq)
   {
-    for (auto& p : pending_)
-    {
-      if (p.client_seq == client_seq)
-      {
-        return &p;
-      }
-    }
-    return nullptr;
-  }
-
-  const Session::Pending* Session::find(uint64_t client_seq) const
-  {
-    for (const auto& p : pending_)
-    {
-      if (p.client_seq == client_seq)
-      {
-        return &p;
-      }
-    }
-    return nullptr;
+    return const_cast<Pending*>(std::as_const(*this).find(client_seq));
   }
 
   std::optional<uint64_t> Session::submit_rw(
@@ -100,17 +95,16 @@ namespace scv::driver
 
     // The response carries the application-level tx id: (term, position
     // among application transactions) — and everything observed before it.
-    const auto observed = app_txids_upto(node, raw->index - 1);
+    auto observed = app_txids_upto(node, raw->index - 1);
     const TxId app_id{raw->term, static_cast<Index>(observed.size() + 1)};
 
     ClientEvent res;
     res.kind = ClientEventKind::RwRes;
     res.client_seq = seq;
     res.txid = app_id;
-    res.observed = observed;
-    history_.push_back(res);
-
-    pending_.push_back({seq, false, app_id, *raw, observed, false});
+    res.observed = std::move(observed);
+    pending_.push_back({seq, false, app_id, *raw, history_.size(), false});
+    history_.push_back(std::move(res));
     note_batched_submit();
     return seq;
   }
@@ -215,17 +209,16 @@ namespace scv::driver
     {
       return seq;
     }
-    const auto observed = app_txids_upto(node, node.ledger().last_index());
+    auto observed = app_txids_upto(node, node.ledger().last_index());
     const TxId at{node.current_term(), static_cast<Index>(observed.size())};
 
     ClientEvent res;
     res.kind = ClientEventKind::RoRes;
     res.client_seq = seq;
     res.txid = at;
-    res.observed = observed;
-    history_.push_back(res);
-
-    pending_.push_back({seq, true, at, TxId{}, observed, false});
+    res.observed = std::move(observed);
+    pending_.push_back({seq, true, at, TxId{}, history_.size(), false});
+    history_.push_back(std::move(res));
     return seq;
   }
 
@@ -247,19 +240,20 @@ namespace scv::driver
     // transactions) is COMMITTED when the node's committed application
     // prefix covers position i and agrees with what was observed, and
     // INVALID when the committed prefix covers i but diverges.
-    const auto committed = committed_app_txids(node);
+    const auto& ledger = node.ledger();
     const size_t at = p->txid.index;
     TxStatus status = TxStatus::Pending;
-    if (committed.size() >= at)
+    if (ledger.data_count_upto(node.commit_index()) >= at)
     {
+      const auto& observed = history_[p->response].observed;
       bool matches = true;
-      for (size_t k = 0; k < p->observed.size() && k < at; ++k)
+      for (size_t k = 0; matches && k < observed.size() && k < at; ++k)
       {
-        matches = matches && committed[k] == p->observed[k];
+        matches = app_txid(ledger, k) == observed[k];
       }
       if (!p->read_only && matches)
       {
-        matches = at >= 1 && committed[at - 1] == p->txid;
+        matches = at >= 1 && app_txid(ledger, at - 1) == p->txid;
       }
       status = matches ? TxStatus::Committed : TxStatus::Invalid;
     }

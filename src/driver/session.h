@@ -154,6 +154,8 @@ namespace scv::driver
     /// Polls the application-level status of a previously submitted
     /// transaction on `server` (default: current leader). Terminal
     /// statuses (COMMITTED / INVALID) are recorded in the history once.
+    /// A binary search while the transaction is PENDING; one pass over
+    /// its observed list once the committed prefix covers it.
     consensus::TxStatus poll(
       uint64_t client_seq, std::optional<NodeId> server = std::nullopt);
 
@@ -196,6 +198,10 @@ namespace scv::driver
     }
 
   private:
+    /// An answered transaction. pending_ is appended in client_seq order,
+    /// so it stays sorted and find() is a binary search. The observed list
+    /// is not copied: it lives in the response event history_[response]
+    /// (the history is append-only, so the index stays valid).
     struct Pending
     {
       uint64_t client_seq;
@@ -204,18 +210,19 @@ namespace scv::driver
       /// Raw ledger id ((view, seqno)); index 0 when never executed or
       /// read-only.
       consensus::TxId raw;
-      std::vector<consensus::TxId> observed;
+      /// Position of the RwRes / RoRes event in history_.
+      size_t response;
       bool terminal = false;
     };
+
+    /// Id of the k-th (0-based) application transaction in `ledger`:
+    /// (term of its k-th Data entry, k + 1).
+    static consensus::TxId app_txid(const consensus::Ledger& ledger, size_t k);
 
     /// Application-transaction ids in `node`'s log up to `upto` (ledger
     /// index), in order.
     static std::vector<consensus::TxId> app_txids_upto(
       const consensus::RaftNode& node, consensus::Index upto);
-
-    /// Application-transaction ids in `node`'s *committed* prefix.
-    static std::vector<consensus::TxId> committed_app_txids(
-      const consensus::RaftNode& node);
 
     /// Speculative read view of a node: ordered-but-uncommitted write
     /// sets in its ledger overlaid on its committed store.

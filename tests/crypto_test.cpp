@@ -1,7 +1,13 @@
 // Unit tests for the crypto substrate: SHA-256 against NIST/FIPS vectors,
 // HMAC-SHA-256 against RFC 4231 vectors, Merkle tree structure, proofs,
-// truncation, and the mock signer.
+// truncation, equivalence of the cached-level tree with the whole-tree
+// RFC 6962 recursion at every size up to 1100, and the mock signer.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "crypto/hmac.h"
 #include "crypto/merkle_tree.h"
@@ -18,6 +24,103 @@ namespace
   {
     return digest_to_hex(d);
   }
+
+  // Reference RFC 6962 tree: the whole-tree recursion, recomputed from the
+  // leaves on every call. The cached-level tree must match it bit for bit.
+  size_t split_point(size_t n)
+  {
+    size_t k = 1;
+    while (k * 2 < n)
+    {
+      k *= 2;
+    }
+    return k;
+  }
+
+  Digest subtree_root(
+    const std::vector<Digest>& leaves, size_t begin, size_t end)
+  {
+    if (end - begin == 1)
+    {
+      return leaves[begin];
+    }
+    const size_t k = split_point(end - begin);
+    return MerkleTree::combine(
+      subtree_root(leaves, begin, begin + k),
+      subtree_root(leaves, begin + k, end));
+  }
+
+  Digest reference_root(const std::vector<Digest>& leaves, size_t size)
+  {
+    return size == 0 ? sha256("") : subtree_root(leaves, 0, size);
+  }
+
+  /// Every leaf's RFC 6962 audit path over leaves [begin, end), appended
+  /// bottom-up to paths[i]; returns the subtree root. Shares subtree roots
+  /// across leaves so all paths of one size cost O(n log n).
+  Digest reference_paths(
+    const std::vector<Digest>& leaves,
+    size_t begin,
+    size_t end,
+    std::vector<Path>& paths)
+  {
+    if (end - begin == 1)
+    {
+      return leaves[begin];
+    }
+    const size_t k = split_point(end - begin);
+    const Digest left = reference_paths(leaves, begin, begin + k, paths);
+    const Digest right = reference_paths(leaves, begin + k, end, paths);
+    for (size_t i = begin; i < begin + k; ++i)
+    {
+      paths[i].push_back({right, false});
+    }
+    for (size_t i = begin + k; i < end; ++i)
+    {
+      paths[i].push_back({left, true});
+    }
+    return MerkleTree::combine(left, right);
+  }
+
+  std::vector<Path> reference_all_paths(
+    const std::vector<Digest>& leaves, size_t size)
+  {
+    std::vector<Path> paths(size);
+    if (size > 0)
+    {
+      reference_paths(leaves, 0, size, paths);
+    }
+    return paths;
+  }
+
+  std::vector<Digest> numbered_leaves(const std::string& stem, size_t n)
+  {
+    std::vector<Digest> out;
+    for (size_t i = 0; i < n; ++i)
+    {
+      out.push_back(sha256(stem + std::to_string(i)));
+    }
+    return out;
+  }
+
+  /// `tree`'s root and every inclusion path against its full size equal
+  /// the reference over `leaves`.
+  void expect_matches_reference(
+    const MerkleTree& tree, const std::vector<Digest>& leaves)
+  {
+    ASSERT_EQ(tree.size(), leaves.size());
+    ASSERT_EQ(tree.leaves(), leaves);
+    ASSERT_EQ(tree.root(), reference_root(leaves, leaves.size()))
+      << "size " << leaves.size();
+    const auto paths = reference_all_paths(leaves, leaves.size());
+    for (size_t i = 0; i < leaves.size(); ++i)
+    {
+      ASSERT_EQ(tree.path(i), paths[i])
+        << "size " << leaves.size() << " leaf " << i;
+    }
+  }
+
+  constexpr size_t kEquivalenceMaxSize = 1100;
 }
 
 TEST(Sha256, EmptyString)
@@ -226,6 +329,75 @@ TEST(Merkle, PathTamperDetected)
   path[0].sibling_on_left = !path[0].sibling_on_left;
   EXPECT_FALSE(
     MerkleTree::verify_path(sha256("l3"), path, t.root()));
+}
+
+// ---------------------------------------------------------------------------
+// Equivalence with the whole-tree RFC 6962 recursion
+// ---------------------------------------------------------------------------
+
+TEST(MerkleEquivalence, AppendMatchesReferenceAtEverySize)
+{
+  const auto leaves = numbered_leaves("a", kEquivalenceMaxSize);
+  MerkleTree tree;
+  std::vector<Digest> prefix;
+  expect_matches_reference(tree, prefix);
+  for (const auto& leaf : leaves)
+  {
+    tree.append(leaf);
+    prefix.push_back(leaf);
+    expect_matches_reference(tree, prefix);
+  }
+}
+
+TEST(MerkleEquivalence, TruncateThenAppendMatchesReference)
+{
+  const auto leaves = numbered_leaves("a", kEquivalenceMaxSize);
+  MerkleTree tree(leaves);
+  for (size_t size = kEquivalenceMaxSize + 1; size-- > 0;)
+  {
+    tree.truncate(size);
+    std::vector<Digest> prefix(leaves.begin(), leaves.begin() + size);
+    expect_matches_reference(tree, prefix);
+
+    // Regrow over a divergent suffix (a follower replacing a rolled-back
+    // tail), then roll back again.
+    const size_t regrown = std::min(size + 37, kEquivalenceMaxSize);
+    for (size_t i = size; i < regrown; ++i)
+    {
+      const Digest leaf = sha256("b" + std::to_string(i));
+      tree.append(leaf);
+      prefix.push_back(leaf);
+    }
+    expect_matches_reference(tree, prefix);
+    tree.truncate(size);
+  }
+}
+
+TEST(MerkleEquivalence, LeavesConstructorMatchesReference)
+{
+  const auto leaves = numbered_leaves("c", kEquivalenceMaxSize);
+  for (size_t size = 0; size <= kEquivalenceMaxSize; ++size)
+  {
+    const std::vector<Digest> prefix(leaves.begin(), leaves.begin() + size);
+    expect_matches_reference(MerkleTree(prefix), prefix);
+  }
+}
+
+TEST(MerkleEquivalence, PrefixProofsMatchReference)
+{
+  const auto leaves = numbered_leaves("d", kEquivalenceMaxSize);
+  const MerkleTree tree(leaves);
+  for (size_t prefix = 1; prefix <= kEquivalenceMaxSize; ++prefix)
+  {
+    const auto paths = reference_all_paths(leaves, prefix);
+    const Digest root = reference_root(leaves, prefix);
+    for (size_t i = 0; i < prefix; ++i)
+    {
+      const auto path = tree.path(i, prefix);
+      ASSERT_EQ(path, paths[i]) << "prefix " << prefix << " leaf " << i;
+      ASSERT_TRUE(MerkleTree::verify_path(leaves[i], path, root));
+    }
+  }
 }
 
 TEST(Signer, SignVerifyRoundTrip)

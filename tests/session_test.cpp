@@ -1,9 +1,12 @@
 // Tests for the Session serving machinery layered on the scripted
 // client: request batching into signature transactions, per-session
 // ordering, TxStatus-style commit acknowledgement (including the
-// truncated-by-a-conflicting-leader INVALID edge), and application
-// transactions over the typed KV.
+// truncated-by-a-conflicting-leader INVALID edge), application
+// transactions over the typed KV, and poll() against a scan-based
+// reference through a failover that truncates the old leader's suffix.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "driver/cluster.h"
 #include "driver/session.h"
@@ -34,6 +37,55 @@ namespace
       c.tick_all();
       c.drain();
     }
+  }
+
+  /// The scan-based status rule poll() implements: rebuild the node's
+  /// committed application prefix with a type_at scan from index 1, then
+  /// compare it with the transaction's recorded response.
+  TxStatus reference_poll(
+    const Session& session, uint64_t seq, const consensus::RaftNode& node)
+  {
+    const ClientEvent* res = nullptr;
+    for (const auto& ev : session.history())
+    {
+      if (
+        ev.client_seq == seq &&
+        (ev.kind == ClientEventKind::RwRes ||
+         ev.kind == ClientEventKind::RoRes))
+      {
+        res = &ev;
+      }
+    }
+    if (res == nullptr)
+    {
+      return TxStatus::Unknown;
+    }
+    const auto& ledger = node.ledger();
+    std::vector<TxId> committed;
+    for (Index i = 1; i <= node.commit_index() && i <= ledger.last_index();
+         ++i)
+    {
+      if (ledger.type_at(i) == EntryType::Data)
+      {
+        committed.push_back(
+          TxId{ledger.term_at(i), static_cast<Index>(committed.size() + 1)});
+      }
+    }
+    const size_t at = res->txid.index;
+    if (committed.size() < at)
+    {
+      return TxStatus::Pending;
+    }
+    bool matches = true;
+    for (size_t k = 0; k < res->observed.size() && k < at; ++k)
+    {
+      matches = matches && committed[k] == res->observed[k];
+    }
+    if (res->kind == ClientEventKind::RwRes && matches)
+    {
+      matches = at >= 1 && committed[at - 1] == res->txid;
+    }
+    return matches ? TxStatus::Committed : TxStatus::Invalid;
   }
 
   /// Data entries in `node`'s ledger strictly inside (lo, hi).
@@ -269,4 +321,88 @@ TEST(SessionApp, AbortedBodyReplicatesNothing)
   EXPECT_EQ(aborted.seq, std::nullopt);
   EXPECT_EQ(session.history().size(), history_before);
   EXPECT_EQ(c.node(1).ledger().last_index(), ledger_before);
+}
+
+TEST(SessionPoll, MatchesScanReferenceThroughTruncatingFailover)
+{
+  ClusterOptions o = three_nodes(415);
+  o.node_template.check_quorum_interval = 0;
+  Cluster c(o);
+  Session session(c, SessionOptions{2});
+  for (int i = 0; i < 4; ++i)
+  {
+    ASSERT_TRUE(session.submit_rw("base" + std::to_string(i)).has_value());
+  }
+  ASSERT_TRUE(session.submit_ro().has_value());
+  settle(c, 40);
+
+  // The old leader, cut off, keeps answering: its suffix is doomed.
+  c.partition({1}, {2, 3});
+  // A read follows each doomed write. The first read's only doomed
+  // observation is its last one, so a poll that skips any observed
+  // position disagrees with the reference.
+  std::vector<uint64_t> doomed;
+  for (int i = 0; i < 3; ++i)
+  {
+    const auto seq =
+      session.submit_rw("doomed" + std::to_string(i), NodeId{1});
+    ASSERT_TRUE(seq.has_value());
+    doomed.push_back(*seq);
+    const auto ro = session.submit_ro(NodeId{1});
+    ASSERT_TRUE(ro.has_value());
+    doomed.push_back(*ro);
+  }
+  const Index doomed_last = c.node(1).ledger().last_index();
+  const auto doomed_term = c.node(1).ledger().term_at(doomed_last);
+
+  // Every answered transaction, polled on every node at every tick, must
+  // get the scan-based verdict.
+  size_t committed = 0;
+  size_t invalid = 0;
+  for (int tick = 0; tick < 400; ++tick)
+  {
+    c.tick_all();
+    c.drain();
+    if (tick == 200)
+    {
+      c.heal();
+    }
+    if (tick % 25 == 0)
+    {
+      (void)session.submit_rw("load" + std::to_string(tick));
+      (void)session.submit_ro();
+    }
+    if (tick % 50 == 0)
+    {
+      (void)session.sign();
+    }
+    for (const auto& p : session.history())
+    {
+      if (
+        p.kind != ClientEventKind::RwRes && p.kind != ClientEventKind::RoRes)
+      {
+        continue;
+      }
+      for (const NodeId id : c.node_ids())
+      {
+        const TxStatus expected =
+          reference_poll(session, p.client_seq, c.node(id));
+        const TxStatus got = session.poll(p.client_seq, id);
+        ASSERT_EQ(got, expected)
+          << "seq " << p.client_seq << " node " << id << " tick " << tick;
+        committed += got == TxStatus::Committed ? 1 : 0;
+        invalid += got == TxStatus::Invalid ? 1 : 0;
+      }
+    }
+  }
+
+  // The failover really truncated the old leader's suffix, and the run
+  // exercised both terminal verdicts.
+  EXPECT_NE(c.node(1).ledger().term_at(doomed_last), doomed_term);
+  for (const uint64_t seq : doomed)
+  {
+    EXPECT_EQ(session.poll(seq, NodeId{1}), TxStatus::Invalid);
+  }
+  EXPECT_GT(committed, 0u);
+  EXPECT_GT(invalid, 0u);
 }

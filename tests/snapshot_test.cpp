@@ -1,7 +1,9 @@
 // Snapshots, catch-up, and disaster recovery end to end.
 //
 //  * Ledger compaction keeps (term, type) metadata and Merkle leaves exact
-//    below the hole; bodies are gone ("no reads below a hole").
+//    below the hole; bodies are gone ("no reads below a hole"). The
+//    ledger's Data-index list matches a type_at scan through append,
+//    truncate, compact, from_snapshot, crash-restart and rollback.
 //  * kv::Store images round-trip bit-identically and install_image keeps
 //    hook subscriptions.
 //  * The Snapshot artifact serializes/deserializes losslessly.
@@ -119,6 +121,23 @@ namespace
     return ids;
   }
 
+  /// The ledger's Data-index list equals a brute-force type_at scan, and
+  /// data_count_upto agrees with it at every index.
+  void expect_data_indices_match_scan(const Ledger& l)
+  {
+    std::vector<Index> scan;
+    for (Index i = 1; i <= l.last_index(); ++i)
+    {
+      if (l.type_at(i) == EntryType::Data)
+      {
+        scan.push_back(i);
+      }
+      ASSERT_EQ(l.data_count_upto(i), scan.size()) << "index " << i;
+    }
+    ASSERT_EQ(l.data_indices(), scan);
+    ASSERT_EQ(l.data_count_upto(l.last_index() + 5), scan.size());
+  }
+
   std::map<std::string, TxStatus> status_map(
     const Cluster& c, NodeId id, const std::vector<TxId>& txids)
   {
@@ -214,6 +233,114 @@ TEST(SnapshotLedger, FromSnapshotPrefixReproducesFullRoot)
   holed.append(full.at(4));
   EXPECT_EQ(holed.root(), full.root());
   EXPECT_EQ(holed.leaf_digest(1), full.leaf_digest(1));
+}
+
+TEST(SnapshotLedger, DataIndicesTrackAppendTruncateCompactAndSnapshot)
+{
+  Ledger l;
+  expect_data_indices_match_scan(l);
+  for (int round = 0; round < 3; ++round)
+  {
+    for (int i = 0; i < 5; ++i)
+    {
+      l.append(data_entry(round + 1, "d" + std::to_string(i)));
+      expect_data_indices_match_scan(l);
+    }
+    l.append(sig_entry(round + 1));
+    expect_data_indices_match_scan(l);
+  }
+  // 18 entries: Data at 1-5, 7-11, 13-17; signatures at 6, 12, 18.
+  l.truncate(15);
+  expect_data_indices_match_scan(l);
+  l.truncate(12);
+  expect_data_indices_match_scan(l);
+  l.append(data_entry(4, "after-truncate"));
+  expect_data_indices_match_scan(l);
+
+  // Compaction keeps the list: type metadata survives it.
+  l.compact(6);
+  expect_data_indices_match_scan(l);
+  l.compact(12);
+  expect_data_indices_match_scan(l);
+  l.truncate(12);
+  expect_data_indices_match_scan(l);
+
+  // A ledger rebuilt from snapshot prefix state derives the list from the
+  // retained metadata, then keeps it through appends.
+  std::vector<consensus::EntryMeta> meta;
+  std::vector<crypto::Digest> leaves;
+  for (Index i = 1; i <= 12; ++i)
+  {
+    meta.push_back({l.term_at(i), l.type_at(i)});
+    leaves.push_back(l.leaf_digest(i));
+  }
+  Ledger holed = Ledger::from_snapshot(12, meta, leaves);
+  EXPECT_EQ(holed.data_indices(), l.data_indices());
+  expect_data_indices_match_scan(holed);
+  holed.append(data_entry(5, "suffix"));
+  holed.append(sig_entry(5));
+  expect_data_indices_match_scan(holed);
+}
+
+TEST(SnapshotRecovery, DataIndicesSurviveCrashRestartAndRollback)
+{
+  Cluster c(three_nodes(9301));
+  commit_txs(c, 3, "base");
+  ASSERT_TRUE(converged(c, {1, 2, 3}, 1));
+
+  // Crash-restart from the persisted ledger, then from a snapshot.
+  const Snapshot snap = c.take_snapshot(1);
+  c.crash(2);
+  c.run(20);
+  c.restart(JoinSpec(2));
+  commit_txs(c, 2, "after-restart");
+  ASSERT_TRUE(converged(c, {1, 2, 3}, c.node(1).commit_index()));
+  c.crash(3);
+  c.run(20);
+  c.restart(JoinSpec(3, snap));
+  ASSERT_TRUE(converged(c, {1, 2, 3}, c.node(1).commit_index()));
+  for (const NodeId id : {1u, 2u, 3u})
+  {
+    expect_data_indices_match_scan(c.node(id).ledger());
+  }
+
+  // The isolated leader accepts a suffix it must later roll back.
+  const auto old_leader = c.find_leader();
+  ASSERT_TRUE(old_leader.has_value());
+  const NodeId ol = *old_leader;
+  c.isolate(ol);
+  for (int i = 0; i < 3; ++i)
+  {
+    ASSERT_TRUE(c.submit(Target(ol), "orphan" + std::to_string(i)));
+  }
+  expect_data_indices_match_scan(c.node(ol).ledger());
+  const Index orphan_last = c.node(ol).ledger().last_index();
+  const auto orphan_term = c.node(ol).ledger().term_at(orphan_last);
+  NodeId nl = 0;
+  for (int r = 0; r < 300 && nl == 0; ++r)
+  {
+    c.run(5);
+    for (const NodeId id : c.node_ids())
+    {
+      if (id != ol && c.node(id).role() == consensus::Role::Leader)
+      {
+        nl = id;
+      }
+    }
+  }
+  ASSERT_NE(nl, 0u);
+  ASSERT_TRUE(c.node(nl).emit_signature().has_value());
+  c.heal();
+  ASSERT_TRUE(converged(c, {1, 2, 3}, c.node(nl).commit_index()));
+  // The old leader rolled its orphan suffix back and adopted the new
+  // leader's.
+  EXPECT_NE(c.node(ol).ledger().term_at(orphan_last), orphan_term);
+  for (const NodeId id : {1u, 2u, 3u})
+  {
+    expect_data_indices_match_scan(c.node(id).ledger());
+    EXPECT_EQ(
+      c.node(id).ledger().data_indices(), c.node(nl).ledger().data_indices());
+  }
 }
 
 // ---------------------------------------------------------------------------
