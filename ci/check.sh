@@ -24,6 +24,10 @@ run_variant() {
 run_variant build-release
 run_variant build-tsan -DSCV_SANITIZE=thread
 
+# Smokes of benches that write BENCH_<name>.json into their working
+# directory run inside the build directory, so CI never overwrites the
+# committed BENCH files at the repository root.
+
 # Trace-validation smoke under TSan: the demo exercises the end-to-end
 # pipeline (scenario -> trace -> validator) on one worker (run inline on
 # the caller) and on four, so a data race in the parallel validator fails
@@ -78,7 +82,7 @@ echo "=== tsan campaign smoke, fingerprint-only store (threads=4) ==="
 # runs all engines with --symmetry at threads=4 so the canonicalizer's
 # thread-local scratch and the shared fingerprint-dedup store race-check.
 echo "=== release symmetry-ablation smoke ==="
-./build-release/bench/symmetry_ablation --quick
+(cd build-release && ./bench/symmetry_ablation --quick)
 echo "=== tsan campaign smoke, symmetry reduction (threads=4) ==="
 ./build-tsan/examples/campaign_demo --seconds=10 --threads=4 --symmetry
 
@@ -125,16 +129,16 @@ echo "=== tsan nemesis snapshot smoke (seed 2027, validate-threads=4) ==="
 # Release runs the determinism pass; TSan runs 4 load workers so the
 # shard-result merge race-checks.
 echo "=== release smallbank load smoke (seed 2026, determinism) ==="
-./build-release/bench/smallbank_load --seed=2026 --threads=2 --ticks=400 \
-  --determinism
+(cd build-release && ./bench/smallbank_load --seed=2026 --threads=2 \
+  --ticks=400 --determinism)
 echo "=== release smallbank scaling gate (2000 vs 16000 ticks) ==="
 # Linear-time serving gate: one shard at 2000 and 16000 ticks, three runs
 # each; fails when the median wall time per committed transaction grows
 # more than 3x (a per-operation O(n) step on the serving path shows up as
 # a ratio near 8).
-./build-release/bench/smallbank_load --scaling --seed=2026 --ticks=2000
+(cd build-release && ./bench/smallbank_load --scaling --seed=2026 --ticks=2000)
 echo "=== tsan smallbank load smoke (threads=4) ==="
-./build-tsan/bench/smallbank_load --seed=2026 --threads=4 --ticks=200
+(cd build-tsan && ./bench/smallbank_load --seed=2026 --threads=4 --ticks=200)
 
 # UBSan over the driver-facing suites: crash-restart recovery and the
 # nemesis stress pointer/variant/overflow-heavy paths (ledger rebuilds,

@@ -14,17 +14,33 @@
 // max_faults_per_step >= 2.)
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <unordered_set>
 #include <vector>
 
 #include "spec/sharded_state_store.h"
 #include "spec/spec.h"
+#include "spec/stats.h"
 #include "spec/symmetry.h"
 
 namespace scv::spec
 {
+  /// Canonicalizations one worker ran, and how many relabeled (a
+  /// non-identity orbit representative: a state symmetry folded onto a
+  /// sibling). ExplorationStats::canonicalized_states/symmetry_hits are
+  /// the sums over workers.
+  struct SymmetryTally
+  {
+    uint64_t canonicalized = 0;
+    uint64_t hits = 0;
+
+    void add_to(ExplorationStats& stats) const
+    {
+      stats.canonicalized_states += canonicalized;
+      stats.symmetry_hits += hits;
+    }
+  };
+
   template <SpecState S>
   class Expander
   {
@@ -57,20 +73,13 @@ namespace scv::spec
       return symmetry_on_;
     }
 
-    /// Canonicalizer invocations (== fingerprints taken with symmetry on).
-    [[nodiscard]] uint64_t canonicalized_count() const
-    {
-      return counters_.canonicalized.load(std::memory_order_relaxed);
-    }
-
-    /// Canonicalizations that actually relabeled (non-identity orbit
-    /// representative) — the states symmetry folded onto a sibling.
-    [[nodiscard]] uint64_t symmetry_hit_count() const
-    {
-      return counters_.hits.load(std::memory_order_relaxed);
-    }
-
-    [[nodiscard]] uint64_t fingerprint_of(const S& s) const
+    /// Fingerprint keying dedup: the canonical orbit representative's
+    /// when symmetry is on. A non-null `tally` counts the
+    /// canonicalization; it belongs to the calling worker alone, which
+    /// folds it into its engine's stats at a barrier like every other
+    /// per-worker count (no shared counter on this path).
+    [[nodiscard]] uint64_t fingerprint_of(
+      const S& s, SymmetryTally* tally = nullptr) const
     {
       if (!symmetry_on_)
       {
@@ -78,10 +87,10 @@ namespace scv::spec
       }
       bool changed = false;
       const uint64_t fp = canonical_fingerprint(spec_->symmetry, s, &changed);
-      counters_.canonicalized.fetch_add(1, std::memory_order_relaxed);
-      if (changed)
+      if (tally != nullptr)
       {
-        counters_.hits.fetch_add(1, std::memory_order_relaxed);
+        tally->canonicalized++;
+        tally->hits += changed ? 1 : 0;
       }
       return fp;
     }
@@ -101,16 +110,17 @@ namespace scv::spec
     }
 
     /// Fingerprint-first insert into a store: dedup and predecessor
-    /// bookkeeping in one call.
+    /// bookkeeping in one call (`tally` as for fingerprint_of()).
     [[nodiscard]] typename ShardedStateStore<S>::InsertResult admit(
       ShardedStateStore<S>& store,
       const S& state,
       typename ShardedStateStore<S>::Id parent,
       uint32_t action,
-      uint32_t depth) const
+      uint32_t depth,
+      SymmetryTally* tally = nullptr) const
     {
       return store.insert(
-        state, fingerprint_of(state), parent, action, depth, origin_);
+        state, fingerprint_of(state, tally), parent, action, depth, origin_);
     }
 
     /// Same, but keyed by a caller-salted fingerprint (the trace validator
@@ -202,35 +212,10 @@ namespace scv::spec
     }
 
   private:
-    /// Copyable relaxed counters: engines copy Expanders only while
-    /// quiescent, so a plain load snapshot is exact.
-    struct Counters
-    {
-      std::atomic<uint64_t> canonicalized{0};
-      std::atomic<uint64_t> hits{0};
-
-      Counters() = default;
-      Counters(const Counters& other) :
-        canonicalized(other.canonicalized.load(std::memory_order_relaxed)),
-        hits(other.hits.load(std::memory_order_relaxed))
-      {}
-      Counters& operator=(const Counters& other)
-      {
-        canonicalized.store(
-          other.canonicalized.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-        hits.store(
-          other.hits.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-        return *this;
-      }
-    };
-
     const SpecDef<S>* spec_ = nullptr;
     std::function<void(const S&, const Emit<S>&)> fault_;
     size_t max_fault_layers_ = 0;
     uint8_t origin_ = 0;
     bool symmetry_on_ = false;
-    mutable Counters counters_;
   };
 }

@@ -208,10 +208,11 @@ namespace scv::spec
       // Initial states are inserted and checked on the caller's thread, in
       // spec order.
       uint64_t inserted = 0;
+      SymmetryTally init_tally;
       for (const S& init : spec_.init)
       {
         const auto ins = expander_.admit(
-          store(), init, Store::no_parent, Store::init_action, 0);
+          store(), init, Store::no_parent, Store::init_action, 0, &init_tally);
         if (!ins.inserted)
         {
           result.stats.duplicate_states++;
@@ -225,57 +226,33 @@ namespace scv::spec
           {
             result.counterexample =
               reconstruct_counterexample(store(), spec_, ins.id, inv.name);
+            init_tally.add_to(result.stats);
             finish(result, budget, false, inserted);
             return result;
           }
         }
         frontier.push_back({ins.body, ins.id, 0});
       }
+      init_tally.add_to(result.stats);
 
       std::atomic<bool> stop{false};
       std::atomic<bool> out_of_budget{false};
 
+      // Worker slices and the frontier live across levels: the barrier
+      // folds and clears them but keeps their capacity, so a level
+      // allocates only where the frontier outgrows every earlier one.
+      std::vector<WorkerLocal> locals(pool.size());
+      for (auto& local : locals)
+      {
+        local.coverage.assign(spec_.actions.size(), 0);
+      }
+
       while (!frontier.empty() && !stop.load(std::memory_order_acquire))
       {
         std::atomic<size_t> cursor{0};
-        std::vector<WorkerLocal> locals(pool.size());
-        for (auto& local : locals)
-        {
-          local.coverage.assign(spec_.actions.size(), 0);
-        }
-
         pool.run([&](unsigned w) {
           run_worker(frontier, cursor, stop, out_of_budget, budget, locals[w]);
         });
-
-        // Level barrier: merge worker stats and splice the next frontier
-        // (worker order, then generation order within a worker).
-        std::vector<Item> next;
-        for (WorkerLocal& local : locals)
-        {
-          result.stats.generated_states += local.generated;
-          result.stats.transitions += local.transitions;
-          result.stats.duplicate_states += local.duplicates;
-          inserted += local.inserted;
-          result.stats.max_depth =
-            std::max(result.stats.max_depth, local.max_depth);
-          for (size_t a = 0; a < local.coverage.size(); ++a)
-          {
-            if (local.coverage[a] > 0)
-            {
-              result.stats.action_coverage[spec_.actions[a].name] +=
-                local.coverage[a];
-            }
-          }
-          if (next.empty())
-          {
-            next.swap(local.next);
-          }
-          else
-          {
-            next.insert(next.end(), local.next.begin(), local.next.end());
-          }
-        }
 
         // Budget cut: the leftover frontier is everything admitted but
         // never expanded — the unclaimed tail of this level (workers
@@ -290,18 +267,45 @@ namespace scv::spec
           {
             frontier_out_.push_back(*frontier[i].state);
           }
-          for (const Item& item : next)
+          for (const WorkerLocal& local : locals)
           {
-            frontier_out_.push_back(*item.state);
+            for (const Item& item : local.next)
+            {
+              frontier_out_.push_back(*item.state);
+            }
           }
         }
+
+        // Level barrier: merge worker stats and splice the next frontier
+        // (worker order, then generation order within a worker).
+        frontier.clear();
+        for (WorkerLocal& local : locals)
+        {
+          result.stats.generated_states += local.generated;
+          result.stats.transitions += local.transitions;
+          result.stats.duplicate_states += local.duplicates;
+          inserted += local.inserted;
+          result.stats.max_depth =
+            std::max(result.stats.max_depth, local.max_depth);
+          local.symmetry.add_to(result.stats);
+          for (size_t a = 0; a < local.coverage.size(); ++a)
+          {
+            if (local.coverage[a] > 0)
+            {
+              result.stats.action_coverage[spec_.actions[a].name] +=
+                local.coverage[a];
+            }
+          }
+          frontier.insert(frontier.end(), local.next.begin(), local.next.end());
+          local.clear();
+        }
+
         // Level barrier (workers joined, store quiescent): frozen arena
         // blocks may spill.
         if (!stop.load(std::memory_order_acquire))
         {
           store().maybe_spill();
         }
-        frontier = std::move(next);
       }
 
       if (violation_.has_value())
@@ -384,7 +388,18 @@ namespace scv::spec
       uint64_t duplicates = 0;
       uint64_t inserted = 0;
       uint64_t max_depth = 0;
+      SymmetryTally symmetry;
       std::vector<uint64_t> coverage; // indexed by action
+
+      /// Zeroes the counts once the barrier has folded them; keeps the
+      /// vectors' capacity.
+      void clear()
+      {
+        next.clear();
+        generated = transitions = duplicates = inserted = max_depth = 0;
+        symmetry = {};
+        std::fill(coverage.begin(), coverage.end(), 0);
+      }
     };
 
     struct Violation
@@ -406,6 +421,53 @@ namespace scv::spec
       const Budget& budget,
       WorkerLocal& local)
     {
+      // The item and action being expanded. The emit callback reads them
+      // through this cursor, so one Emit serves the worker's whole level
+      // (a capturing lambda this size does not fit std::function's
+      // inline buffer; building one per expansion would allocate).
+      const Item* item = nullptr;
+      uint32_t action = 0;
+      bool violated = false;
+      const Emit<S> emit = [&](const S& next) {
+        if (violated || stop.load(std::memory_order_relaxed))
+        {
+          return;
+        }
+        const S& state = *item->state;
+        local.generated++;
+        local.transitions++;
+        local.coverage[action]++;
+        for (const auto& prop : spec_.action_properties)
+        {
+          if (!prop.check(state, next))
+          {
+            report_violation(stop, {prop.name, item->id, action, next});
+            violated = true;
+            return;
+          }
+        }
+        const auto ins = expander_.admit(
+          store(), next, item->id, action, item->depth + 1, &local.symmetry);
+        if (ins.inserted)
+        {
+          local.inserted++;
+          for (const auto& inv : spec_.invariants)
+          {
+            if (!inv.check(next))
+            {
+              report_violation(stop, {inv.name, ins.id, 0, std::nullopt});
+              violated = true;
+              return;
+            }
+          }
+          local.next.push_back({ins.body, ins.id, item->depth + 1});
+        }
+        else
+        {
+          local.duplicates++;
+        }
+      };
+
       for (;;)
       {
         if (stop.load(std::memory_order_acquire))
@@ -427,62 +489,21 @@ namespace scv::spec
         {
           return;
         }
-        const Item& item = frontier[i];
-        const S& state = *item.state;
+        item = &frontier[i];
+        const S& state = *item->state;
 
-        local.max_depth = std::max<uint64_t>(local.max_depth, item.depth);
+        local.max_depth = std::max<uint64_t>(local.max_depth, item->depth);
         if (!expander_.within_constraint(state) ||
-            budget.depth_exceeded(item.depth))
+            budget.depth_exceeded(item->depth))
         {
           // Gated states are never expanded: they leave the frontier now.
-          store().drop_body(item.id);
+          store().drop_body(item->id);
           continue;
         }
 
-        bool violated = false;
-        for (size_t a = 0; a < spec_.actions.size() && !violated; ++a)
+        for (action = 0; action < spec_.actions.size() && !violated; ++action)
         {
-          spec_.actions[a].expand(state, [&](const S& next) {
-            if (violated || stop.load(std::memory_order_relaxed))
-            {
-              return;
-            }
-            local.generated++;
-            local.transitions++;
-            local.coverage[a]++;
-            for (const auto& prop : spec_.action_properties)
-            {
-              if (!prop.check(state, next))
-              {
-                report_violation(
-                  stop,
-                  {prop.name, item.id, static_cast<uint32_t>(a), next});
-                violated = true;
-                return;
-              }
-            }
-            const auto ins = expander_.admit(
-              store(), next, item.id, static_cast<uint32_t>(a), item.depth + 1);
-            if (ins.inserted)
-            {
-              local.inserted++;
-              for (const auto& inv : spec_.invariants)
-              {
-                if (!inv.check(next))
-                {
-                  report_violation(
-                    stop, {inv.name, ins.id, 0, std::nullopt});
-                  violated = true;
-                  return;
-                }
-              }
-              local.next.push_back({ins.body, ins.id, item.depth + 1});
-            }
-            else
-            {
-              local.duplicates++;
-            }
-          });
+          spec_.actions[action].expand(state, emit);
         }
         if (violated)
         {
@@ -496,7 +517,7 @@ namespace scv::spec
         // short; that body stays live.
         if (!stop.load(std::memory_order_acquire))
         {
-          store().drop_body(item.id);
+          store().drop_body(item->id);
         }
       }
     }
@@ -528,8 +549,6 @@ namespace scv::spec
       result.stats.spilled_bytes = store().spilled_bytes();
       result.stats.rehash_count = store().rehash_count();
       result.stats.seconds = budget.elapsed();
-      result.stats.canonicalized_states = expander_.canonicalized_count();
-      result.stats.symmetry_hits = expander_.symmetry_hit_count();
       if (budget.caps().time_budget_seconds < 1e17)
       {
         result.stats.budget_seconds = budget.caps().time_budget_seconds;

@@ -20,7 +20,11 @@
 //     keeps bodies only for the frontier: engines call drop_body() once a
 //     state has been expanded, dedup is by fingerprint alone, and paths
 //     are rebuilt by replaying the recorded action chain from the initial
-//     states (reconstruct_path()).
+//     states (reconstruct_path()). A dropped body's map node is parked on
+//     a bounded per-shard spare list and the next insert copy-assigns into
+//     it, so a steady-state frontier allocates no map node and reuses the
+//     body's own buffers. Parked nodes are poisoned under ASan: a frontier
+//     pointer read after its drop still reports.
 //   * Spill: with StoreOptions::spill_dir set, maybe_spill() writes
 //     frozen (full) hot-arena blocks to an unlinked per-shard temp file
 //     and mmaps them back read-only, freeing the heap copy. Quiescent
@@ -65,6 +69,10 @@
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <unistd.h>
+
+#if defined(__SANITIZE_ADDRESS__)
+#  include <sanitizer/asan_interface.h>
+#endif
 
 #include "spec/flat_fp_table.h"
 #include "spec/spec.h"
@@ -224,6 +232,10 @@ namespace scv::spec
     {
       for (Shard& shard : shards_)
       {
+        for (auto& node : shard.spare_bodies)
+        {
+          unpark(node);
+        }
         for (size_t b = 0; b < shard.first_unspilled; ++b)
         {
           ::munmap(shard.blocks[b].data, block_bytes);
@@ -324,7 +336,18 @@ namespace scv::spec
       hot_slot(shard, local) = {
         parent, action, (std::min(depth, depth_limit) << 8) | origin};
       const S* body = nullptr;
-      if (fingerprint_only())
+      if (fingerprint_only() && !shard.spare_bodies.empty())
+      {
+        // Reuse a dropped body's node: copy-assignment keeps the body's
+        // buffers when they are large enough, so nothing is allocated.
+        BodyNode node = std::move(shard.spare_bodies.back());
+        shard.spare_bodies.pop_back();
+        unpark(node);
+        node.key() = local;
+        node.mapped() = state;
+        body = &shard.frontier_bodies.insert(std::move(node)).position->second;
+      }
+      else if (fingerprint_only())
       {
         body = &shard.frontier_bodies.emplace(local, state).first->second;
         shard.body_bytes.fetch_add(
@@ -387,6 +410,11 @@ namespace scv::spec
     /// no-op in full mode. Takes the shard lock, so it is safe against
     /// concurrent insert()s — but not against a concurrent
     /// record()/body() reader of the same id (see the header contract).
+    /// The node is parked for the next insert into this shard while the
+    /// spare list has room, and freed here otherwise. Once the shard's
+    /// frontier is empty its spares are freed too, so the workers that
+    /// drain a run's last level release the spare lists and the store's
+    /// destructor frees almost none.
     void drop_body(Id id)
     {
       if (!fingerprint_only())
@@ -394,13 +422,37 @@ namespace scv::spec
         return;
       }
       Shard& shard = shards_[shard_of(id)];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      if (shard.frontier_bodies.erase(static_cast<uint32_t>(local_of(id))) >
-          0)
+      BodyNode node;
       {
+        std::lock_guard<std::mutex> lock(shard.mu);
+        node =
+          shard.frontier_bodies.extract(static_cast<uint32_t>(local_of(id)));
+        if (node.empty())
+        {
+          return;
+        }
+        if (shard.frontier_bodies.empty())
+        {
+          // The shard's frontier has drained: its spares go with it.
+          for (BodyNode& spare : shard.spare_bodies)
+          {
+            unpark(spare);
+          }
+          shard.body_bytes.fetch_sub(
+            frontier_body_bytes * shard.spare_bodies.size(),
+            std::memory_order_relaxed);
+          shard.spare_bodies.clear();
+        }
+        else if (shard.spare_bodies.size() < max_spare_bodies)
+        {
+          park(node);
+          shard.spare_bodies.push_back(std::move(node));
+          return;
+        }
         shard.body_bytes.fetch_sub(
           frontier_body_bytes, std::memory_order_relaxed);
       }
+      // `node` frees the dropped body here, outside the shard lock.
     }
 
     /// States first discovered by `origin` (the admission tag). Wait-free
@@ -422,8 +474,9 @@ namespace scv::spec
 
     /// Resident bytes: index slots + heap (unspilled) hot-arena blocks +
     /// state bodies. Body bytes are an estimate (sizeof(S) per retained
-    /// body plus map overhead for frontier bodies); states owning heap
-    /// memory cost more than reported. Wait-free; exact when quiescent.
+    /// body plus map overhead for frontier bodies, parked spare nodes
+    /// included); states owning heap memory cost more than reported.
+    /// Wait-free; exact when quiescent.
     [[nodiscard]] size_t store_bytes() const
     {
       size_t total = 0;
@@ -663,6 +716,30 @@ namespace scv::spec
       static_cast<size_t>(block_records) * sizeof(HotRecord);
     /// Estimated resident cost of one frontier body (map node + state).
     static constexpr size_t frontier_body_bytes = sizeof(S) + 48;
+    /// Cap on the spare frontier-body nodes a shard keeps for reuse.
+    /// Drops and inserts interleave within a level, so a short list
+    /// already catches almost every reuse; past it, drops free at once.
+    static constexpr size_t max_spare_bodies = 1024;
+
+    using BodyMap = std::unordered_map<uint32_t, S>;
+    using BodyNode = typename BodyMap::node_type;
+
+    /// ASan: a parked node's body is off limits until unpark(), so a
+    /// frontier pointer read after its drop reports instead of reading a
+    /// recycled body. No-ops in other builds.
+    static void park([[maybe_unused]] BodyNode& node)
+    {
+#if defined(__SANITIZE_ADDRESS__)
+      ASAN_POISON_MEMORY_REGION(&node.mapped(), sizeof(S));
+#endif
+    }
+
+    static void unpark([[maybe_unused]] BodyNode& node)
+    {
+#if defined(__SANITIZE_ADDRESS__)
+      ASAN_UNPOISON_MEMORY_REGION(&node.mapped(), sizeof(S));
+#endif
+    }
 
     /// One hot-arena slab. `data` points at the heap allocation until the
     /// block is spilled, then at the read-only mapping.
@@ -684,7 +761,10 @@ namespace scv::spec
       // StoreMode::fingerprint_only: bodies for frontier records only.
       // (Node-based map: references stay valid across inserts, so BFS
       // frontiers can hold InsertResult::body pointers across a level.)
-      std::unordered_map<uint32_t, S> frontier_bodies;
+      BodyMap frontier_bodies;
+      // Nodes of dropped frontier bodies awaiting reuse (at most
+      // max_spare_bodies; poisoned under ASan while parked).
+      std::vector<BodyNode> spare_bodies;
       // first-discovery counts per admission origin (EngineId byte);
       // atomics so origin_count() is wait-free like size().
       std::array<std::atomic<uint64_t>, max_origins> origin_counts{};

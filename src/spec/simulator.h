@@ -160,9 +160,10 @@ namespace scv::spec
       const Budget budget(options_.budget_caps());
       std::atomic<bool> stop{false};
       std::vector<SimResult<S>> results(workers);
+      std::vector<SymmetryTally> tallies(workers);
 
       pool.run([&](unsigned w) {
-        results[w] = walk(w, workers, stop);
+        results[w] = walk(w, workers, stop, tallies[w]);
         if (!results[w].ok)
         {
           stop.store(true, std::memory_order_release);
@@ -171,6 +172,10 @@ namespace scv::spec
 
       SimResult<S> merged;
       uint64_t fresh = 0;
+      for (const SymmetryTally& tally : tallies)
+      {
+        tally.add_to(merged.stats);
+      }
       for (SimResult<S>& r : results)
       {
         merged.behaviors += r.behaviors;
@@ -193,8 +198,6 @@ namespace scv::spec
       {
         merged.stats.budget_seconds = budget.caps().time_budget_seconds;
       }
-      merged.stats.canonicalized_states = expander_.canonicalized_count();
-      merged.stats.symmetry_hits = expander_.symmetry_hit_count();
       if (store_ != nullptr)
       {
         merged.stats.store_bytes = store_->store_bytes();
@@ -220,7 +223,10 @@ namespace scv::spec
     /// its first discoveries in the attached store (run() settles the
     /// storeless count from the fingerprint union).
     SimResult<S> walk(
-      unsigned w, unsigned workers, const std::atomic<bool>& stop)
+      unsigned w,
+      unsigned workers,
+      const std::atomic<bool>& stop,
+      SymmetryTally& tally)
     {
       // Time (or the shared stop flag) exhausts a behavior mid-walk; the
       // behavior cap only stops *starting* new walks.
@@ -235,7 +241,7 @@ namespace scv::spec
       const auto admit = [&](const S& state, Id parent, uint32_t action,
                              uint32_t depth) {
         const auto ins =
-          expander_.admit(*store_, state, parent, action, depth);
+          expander_.admit(*store_, state, parent, action, depth, &tally);
         result.stats.distinct_states += ins.inserted ? 1 : 0;
         // The walk keeps its own copy of every state and builds
         // counterexamples engine-side, so a fingerprint-only store can
@@ -261,7 +267,7 @@ namespace scv::spec
         {
           cur_id = admit(current, Store::no_parent, Store::init_action, 0);
         }
-        note_state(current, result);
+        note_state(current, result, tally);
 
         std::vector<TraceStep<S>> steps;
         steps.push_back({"<init>", current});
@@ -307,7 +313,7 @@ namespace scv::spec
             // Reward novelty; bootstrap from the best known value of the
             // successor bucket. Keyed like note_state() so the distinct
             // lookup matches (canonical when symmetry is on).
-            const uint64_t next_fp = expander_.fingerprint_of(next);
+            const uint64_t next_fp = expander_.fingerprint_of(next, &tally);
             const double reward =
               result.distinct_fingerprints.contains(next_fp) ? 0.0 : 1.0;
             const uint64_t next_bucket =
@@ -344,7 +350,7 @@ namespace scv::spec
               static_cast<uint32_t>(depth + 1));
           }
           steps.push_back({spec_.actions[a].name, current});
-          note_state(current, result);
+          note_state(current, result, tally);
           result.stats.max_depth =
             std::max<uint64_t>(result.stats.max_depth, depth + 1);
 
@@ -458,11 +464,13 @@ namespace scv::spec
       return rng.weighted_pick(weights);
     }
 
-    void note_state(const S& state, SimResult<S>& result)
+    void note_state(
+      const S& state, SimResult<S>& result, SymmetryTally& tally)
     {
       // Canonical when symmetry is on, so distinct counts (and the
       // cross-worker union) measure coverage modulo the orbit.
-      result.distinct_fingerprints.insert(expander_.fingerprint_of(state));
+      result.distinct_fingerprints.insert(
+        expander_.fingerprint_of(state, &tally));
       if (observer_)
       {
         std::lock_guard<std::mutex> lock(observer_mu_);

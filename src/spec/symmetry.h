@@ -27,6 +27,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -64,10 +65,50 @@ namespace scv::spec
       return true;
     }
 
+    /// Stable insertion sort of ids[0, n) by key(id). For the n <= 16
+    /// identities of a state it gives std::stable_sort's order without
+    /// its temporary buffer.
+    template <class Key>
+    void insertion_sort(uint8_t* ids, size_t n, Key key)
+    {
+      for (size_t i = 1; i < n; ++i)
+      {
+        const uint8_t id = ids[i];
+        size_t j = i;
+        for (; j > 0 && key(ids[j - 1]) > key(id); --j)
+        {
+          ids[j] = ids[j - 1];
+        }
+        ids[j] = id;
+      }
+    }
+
+    /// Per-thread working set of canonical_bytes(). Canonicalization runs
+    /// on every generated state, so none of it may allocate in steady
+    /// state: the vectors keep their capacity between calls.
+    struct CanonScratch
+    {
+      ByteSink sink;
+      std::vector<uint8_t> input;
+      std::vector<uint8_t> best;
+      Perm perm;
+    };
+
+    inline CanonScratch& canon_scratch()
+    {
+      thread_local CanonScratch scratch;
+      return scratch;
+    }
+
     /// Shared implementation: computes the canonical representative's
-    /// serialized bytes (into `best`) and optionally the representative
-    /// itself (into *best_state when non-null). Returns true when the
-    /// representative differs from the input state.
+    /// serialized bytes (left in the calling thread's scratch.best) and
+    /// optionally the representative itself (into *best_state when
+    /// non-null). Returns true when the representative differs from the
+    /// input state.
+    ///
+    /// Not reentrant: the Symmetry hooks and S::serialize must not
+    /// canonicalize on the same thread (the per-thread scratch would be
+    /// overwritten mid-call). None do — they relabel and append bytes.
     ///
     /// The representative is the lexicographic minimum over the CANDIDATE
     /// set only — the input itself participates exactly when the identity
@@ -79,19 +120,14 @@ namespace scv::spec
     /// compare lower.)
     template <SpecState S>
     bool canonical_bytes(
-      const Symmetry<S>& sym,
-      const S& state,
-      std::vector<uint8_t>& best,
-      S* best_state)
+      const Symmetry<S>& sym, const S& state, S* best_state)
     {
-      // Scratch reused per thread: canonicalization runs on every
-      // generated state, so candidate serialization must not allocate in
-      // steady state.
-      thread_local ByteSink scratch;
-      thread_local std::vector<uint8_t> input;
+      CanonScratch& scratch = canon_scratch();
+      std::vector<uint8_t>& input = scratch.input;
+      std::vector<uint8_t>& best = scratch.best;
 
-      serialize_into(state, scratch);
-      input = scratch.bytes();
+      serialize_into(state, scratch.sink);
+      input = scratch.sink.bytes();
       best.clear();
       bool have = false;
 
@@ -111,10 +147,10 @@ namespace scv::spec
           return;
         }
         const S candidate = sym.apply(state, perm);
-        serialize_into(candidate, scratch);
-        if (!have || lex_less(scratch.bytes(), best))
+        serialize_into(candidate, scratch.sink);
+        if (!have || lex_less(scratch.sink.bytes(), best))
         {
-          best = scratch.bytes();
+          best = scratch.sink.bytes();
           have = true;
           if (best_state != nullptr)
           {
@@ -140,10 +176,11 @@ namespace scv::spec
         best = input;
         return false;
       }
-      SCV_CHECK(k <= 16); // enumeration fallback is factorial in ties
+      constexpr size_t max_k = 16; // enumeration is factorial in ties
+      SCV_CHECK(k <= max_k);
 
       // Full symmetric group: sort identities by covariant signature.
-      std::vector<uint64_t> sig(k, 0);
+      std::array<uint64_t, max_k> sig{};
       if (sym.signature)
       {
         for (size_t i = 0; i < k; ++i)
@@ -151,11 +188,9 @@ namespace scv::spec
           sig[i] = sym.signature(state, i);
         }
       }
-      std::vector<uint8_t> order(k);
-      std::iota(order.begin(), order.end(), uint8_t{0});
-      std::stable_sort(order.begin(), order.end(), [&](uint8_t a, uint8_t b) {
-        return sig[a] < sig[b];
-      });
+      std::array<uint8_t, max_k> order{};
+      std::iota(order.begin(), order.begin() + k, uint8_t{0});
+      insertion_sort(order.data(), k, [&](uint8_t id) { return sig[id]; });
 
       bool ties = false;
       for (size_t p = 0; p + 1 < k && !ties; ++p)
@@ -163,7 +198,8 @@ namespace scv::spec
         ties = sig[order[p]] == sig[order[p + 1]];
       }
 
-      Perm perm(k);
+      Perm& perm = scratch.perm;
+      perm.resize(k);
       if (!ties)
       {
         // Distinct signatures pin the canonical relabeling: identity
@@ -179,7 +215,8 @@ namespace scv::spec
       // Tie blocks: enumerate permutations of identities *within* each
       // block of equal signatures (an odometer of per-block
       // next_permutation sweeps), never across blocks.
-      std::vector<std::pair<size_t, size_t>> blocks; // [start, end)
+      std::array<std::pair<uint8_t, uint8_t>, max_k> blocks{}; // [start, end)
+      size_t block_count = 0;
       for (size_t p = 0; p < k;)
       {
         size_t q = p + 1;
@@ -187,15 +224,19 @@ namespace scv::spec
         {
           ++q;
         }
-        blocks.emplace_back(p, q);
+        blocks[block_count++] = {
+          static_cast<uint8_t>(p), static_cast<uint8_t>(q)};
         p = q;
       }
       // Canonical start point for enumeration: sort each block's
       // identities ascending so the sweep is the same from every orbit
       // member.
-      for (const auto& [start, end] : blocks)
+      for (size_t b = 0; b < block_count; ++b)
       {
-        std::sort(order.begin() + start, order.begin() + end);
+        insertion_sort(
+          order.data() + blocks[b].first,
+          blocks[b].second - blocks[b].first,
+          [](uint8_t id) { return id; });
       }
       for (;;)
       {
@@ -207,17 +248,17 @@ namespace scv::spec
         // Odometer step: advance the first block with a next permutation,
         // resetting the blocks before it.
         size_t b = 0;
-        for (; b < blocks.size(); ++b)
+        for (; b < block_count; ++b)
         {
-          const auto [start, end] = blocks[b];
           if (std::next_permutation(
-                order.begin() + start, order.begin() + end))
+                order.begin() + blocks[b].first,
+                order.begin() + blocks[b].second))
           {
             break;
           }
           // next_permutation wrapped this block back to sorted order.
         }
-        if (b == blocks.size())
+        if (b == block_count)
         {
           break;
         }
@@ -232,10 +273,8 @@ namespace scv::spec
   S canonicalize(const Symmetry<S>& sym, const S& state, bool* changed = nullptr)
   {
     S best = state;
-    std::vector<uint8_t> bytes;
-    const bool c =
-      sym.enabled() ?
-      symmetry_detail::canonical_bytes(sym, state, bytes, &best) :
+    const bool c = sym.enabled() ?
+      symmetry_detail::canonical_bytes(sym, state, &best) :
       false;
     if (changed != nullptr)
     {
@@ -246,7 +285,8 @@ namespace scv::spec
 
   /// Fingerprint of the canonical representative — equal for every member
   /// of an orbit. The representative itself is never materialized beyond
-  /// its serialization.
+  /// its serialization, which lives in per-thread scratch: steady-state
+  /// calls allocate nothing beyond what Symmetry::apply does.
   template <SpecState S>
   uint64_t canonical_fingerprint(
     const Symmetry<S>& sym, const S& state, bool* changed = nullptr)
@@ -259,13 +299,12 @@ namespace scv::spec
       }
       return fingerprint(state);
     }
-    std::vector<uint8_t> bytes;
-    const bool c =
-      symmetry_detail::canonical_bytes<S>(sym, state, bytes, nullptr);
+    const bool c = symmetry_detail::canonical_bytes<S>(sym, state, nullptr);
     if (changed != nullptr)
     {
       *changed = c;
     }
-    return fnv1a(bytes.data(), bytes.size());
+    const std::vector<uint8_t>& best = symmetry_detail::canon_scratch().best;
+    return fnv1a(best.data(), best.size());
   }
 }

@@ -294,13 +294,14 @@ namespace scv::specs::ccfraft
              return false;
            }
            uint8_t last = 0;
-           for (const auto& c : configs_of(n))
-           {
-             if (c.idx <= last || c.nodes == 0)
-             {
-               return false;
-             }
+           bool increasing = true;
+           for_each_config(n, [&](const SpecConfig& c) {
+             increasing = increasing && c.idx > last && c.nodes != 0;
              last = c.idx;
+           });
+           if (!increasing)
+           {
+             return false;
            }
          }
          return true;

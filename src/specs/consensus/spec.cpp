@@ -205,10 +205,9 @@ namespace scv::specs::ccfraft
           if (n2.membership == SMembership::Ordered)
           {
             bool excluded = false;
-            for (const auto& c : active_configs(n2))
-            {
+            for_each_active_config(n2, [&](const SpecConfig& c) {
               excluded = excluded || !has_node(c.nodes, i);
-            }
+            });
             if (!excluded)
             {
               n2.membership = SMembership::Active;
@@ -321,7 +320,7 @@ namespace scv::specs::ccfraft
       {
         return;
       }
-      if (configs_of(nd).back().nodes == cfg)
+      if (last_config(nd).nodes == cfg)
       {
         return; // no-op reconfiguration
       }

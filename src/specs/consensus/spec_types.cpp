@@ -220,47 +220,31 @@ namespace scv::specs::ccfraft
     return os.str();
   }
 
-  std::vector<SpecConfig> configs_of(const SpecNode& node)
+  SpecConfig current_config(const SpecNode& node)
   {
-    std::vector<SpecConfig> out;
-    for (uint8_t i = 1; i <= node.len(); ++i)
-    {
-      if (node.log[i - 1].type == EType::Reconfig)
+    SpecConfig current;
+    for_each_config(node, [&](const SpecConfig& c) {
+      if (current.idx == 0 || c.idx <= node.commit_index)
       {
-        out.push_back({i, node.log[i - 1].config});
+        current = c;
       }
-    }
-    SCV_CHECK_MSG(!out.empty(), "spec log must begin with a configuration");
-    return out;
+    });
+    return current;
   }
 
-  std::vector<SpecConfig> active_configs(const SpecNode& node)
+  SpecConfig last_config(const SpecNode& node)
   {
-    const auto all = configs_of(node);
-    size_t current = 0;
-    for (size_t i = 0; i < all.size(); ++i)
-    {
-      if (all[i].idx <= node.commit_index)
-      {
-        current = i;
-      }
-    }
-    return {all.begin() + static_cast<ptrdiff_t>(current), all.end()};
+    SpecConfig last;
+    for_each_config(node, [&](const SpecConfig& c) { last = c; });
+    return last;
   }
 
   Bits active_nodes(const SpecNode& node)
   {
     Bits out = 0;
-    for (const auto& c : active_configs(node))
-    {
-      out = static_cast<Bits>(out | c.nodes);
-    }
+    for_each_active_config(
+      node, [&](const SpecConfig& c) { out = static_cast<Bits>(out | c.nodes); });
     return out;
-  }
-
-  SpecConfig current_config(const SpecNode& node)
-  {
-    return active_configs(node).front();
   }
 
   Bits retired_nodes(const SpecNode& node)
@@ -279,23 +263,18 @@ namespace scv::specs::ccfraft
   Bits known_nodes(const SpecNode& node)
   {
     Bits out = 0;
-    for (const auto& c : configs_of(node))
-    {
-      out = static_cast<Bits>(out | c.nodes);
-    }
+    for_each_config(
+      node, [&](const SpecConfig& c) { out = static_cast<Bits>(out | c.nodes); });
     return out;
   }
 
   bool quorum_in_each(const SpecNode& node, Bits have)
   {
-    for (const auto& c : active_configs(node))
-    {
-      if (!majority(c.nodes, have))
-      {
-        return false;
-      }
-    }
-    return true;
+    bool all = true;
+    for_each_active_config(node, [&](const SpecConfig& c) {
+      all = all && majority(c.nodes, have);
+    });
+    return all;
   }
 
   bool quorum_in_union(const SpecNode& node, Bits have)

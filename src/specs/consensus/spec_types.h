@@ -308,18 +308,45 @@ namespace scv::specs::ccfraft
 
   // --- derived (log-scanned) views ------------------------------------------
 
-  /// All configurations in a log, in order; the bootstrap log guarantees at
-  /// least one.
-  std::vector<SpecConfig> configs_of(const SpecNode& node);
+  /// Visits every configuration in a log, in order, as fn(SpecConfig);
+  /// the bootstrap log guarantees at least one. Reads the log in place.
+  template <class Fn>
+  void for_each_config(const SpecNode& node, Fn&& fn)
+  {
+    bool any = false;
+    for (uint8_t i = 1; i <= node.len(); ++i)
+    {
+      if (node.log[i - 1].type == EType::Reconfig)
+      {
+        any = true;
+        fn(SpecConfig{i, node.log[i - 1].config});
+      }
+    }
+    SCV_CHECK_MSG(any, "spec log must begin with a configuration");
+  }
 
-  /// Active configurations given the node's commit index.
-  std::vector<SpecConfig> active_configs(const SpecNode& node);
+  /// The current configuration: the last committed one, else the first.
+  SpecConfig current_config(const SpecNode& node);
+
+  /// The last configuration in the log (committed or not).
+  SpecConfig last_config(const SpecNode& node);
+
+  /// Visits the active configurations — the current one and every later
+  /// one — in log order, as fn(SpecConfig).
+  template <class Fn>
+  void for_each_active_config(const SpecNode& node, Fn&& fn)
+  {
+    for (uint8_t i = current_config(node).idx; i <= node.len(); ++i)
+    {
+      if (node.log[i - 1].type == EType::Reconfig)
+      {
+        fn(SpecConfig{i, node.log[i - 1].config});
+      }
+    }
+  }
 
   /// Union of active-configuration node sets.
   Bits active_nodes(const SpecNode& node);
-
-  /// The current (highest committed) configuration.
-  SpecConfig current_config(const SpecNode& node);
 
   /// Nodes whose Retire entry has committed in this node's view.
   Bits retired_nodes(const SpecNode& node);

@@ -1,6 +1,7 @@
 #include "specs/consensus/symmetry.h"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <set>
 
@@ -36,68 +37,75 @@ namespace scv::specs::ccfraft
 
   namespace
   {
-    SpecEntry permute_entry(const SpecEntry& e, const spec::Perm& perm)
+    void relabel_entry(SpecEntry& e, const spec::Perm& perm)
     {
-      SpecEntry out = e;
       switch (e.type)
       {
         case EType::Reconfig:
-          out.config = permute_bits(e.config, perm);
+          e.config = permute_bits(e.config, perm);
           break;
         case EType::Retire:
           // payload is the retiring node for Retire entries...
-          out.payload = permute_nid(e.payload, perm);
+          e.payload = permute_nid(e.payload, perm);
           break;
         case EType::Data:
         case EType::Sig:
           // ...and a client-request id for Data — not a node label.
           break;
       }
-      return out;
     }
 
-    SpecMessage permute_message(const SpecMessage& m, const spec::Perm& perm)
+    void relabel_message(SpecMessage& m, const spec::Perm& perm)
     {
-      SpecMessage out = m;
-      out.from = permute_nid(m.from, perm);
-      out.to = permute_nid(m.to, perm);
-      for (auto& e : out.entries)
+      m.from = permute_nid(m.from, perm);
+      m.to = permute_nid(m.to, perm);
+      for (auto& e : m.entries)
       {
-        e = permute_entry(e, perm);
+        relabel_entry(e, perm);
       }
-      return out;
     }
 
-    SpecNode permute_node(const SpecNode& node, const spec::Perm& perm)
+    /// Rewrites the node references inside one node; the node's own
+    /// position is moved by the caller.
+    void relabel_node(SpecNode& node, const spec::Perm& perm)
     {
-      SpecNode out = node;
-      out.voted_for = permute_nid(node.voted_for, perm);
-      out.votes_granted = permute_bits(node.votes_granted, perm);
-      for (size_t i = 0; i < node.log.size(); ++i)
+      node.voted_for = permute_nid(node.voted_for, perm);
+      node.votes_granted = permute_bits(node.votes_granted, perm);
+      for (auto& e : node.log)
       {
-        out.log[i] = permute_entry(node.log[i], perm);
+        relabel_entry(e, perm);
       }
+      const auto sent = node.sent_index;
+      const auto match = node.match_index;
       for (size_t j = 0; j < perm.size(); ++j)
       {
-        out.sent_index[perm[j]] = node.sent_index[j];
-        out.match_index[perm[j]] = node.match_index[j];
+        node.sent_index[perm[j]] = sent[j];
+        node.match_index[perm[j]] = match[j];
       }
-      return out;
     }
   }
 
   State permute_state(const State& s, const spec::Perm& perm)
   {
+    // One copy of the state, relabeled in place: nodes move to their new
+    // positions (vector moves, no allocation) and every embedded
+    // reference is rewritten where it lies.
     State out = s;
+    std::array<SpecNode, kMaxNodes> moved;
     for (size_t i = 0; i < perm.size(); ++i)
     {
-      out.nodes[perm[i]] = permute_node(s.nodes[i], perm);
+      moved[perm[i]] = std::move(out.nodes[i]);
+    }
+    for (size_t i = 0; i < perm.size(); ++i)
+    {
+      out.nodes[i] = std::move(moved[i]);
+      relabel_node(out.nodes[i], perm);
     }
     // Distinct messages stay distinct under a bijection of endpoints, so
     // the multiset counts carry over; only the sort order changes.
     for (auto& [msg, count] : out.network)
     {
-      msg = permute_message(msg, perm);
+      relabel_message(msg, perm);
     }
     std::sort(
       out.network.begin(), out.network.end(), [](const auto& a, const auto& b) {
